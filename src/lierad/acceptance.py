@@ -29,7 +29,6 @@ from .corpus import (
     suite_corpus,
 )
 from .liealg import (
-    LieAlgebra,
     abelian,
     ad_matrix,
     bracket_spaces,
@@ -64,13 +63,6 @@ def _block_embed(space: Subspace, offset: int, total: int) -> Subspace:
             out[offset + j] = x
         vecs.append(out)
     return Subspace.span(total, vecs)
-
-
-def _solvability_of(algebra: LieAlgebra, space: Subspace) -> int:
-    if space.is_zero():
-        return 0
-    sub, _ = restrict_to_subalgebra(algebra, space)
-    return solvability_index(sub)
 
 
 class CriterionFailure(AssertionError):
@@ -132,8 +124,8 @@ def criterion_4() -> str:
     members = suite_corpus()
     _require(len(members) >= 12, "corpus has fewer than 12 algebras")
     for name, alg in members:
-        n_i = _solvability_of(alg, rd.nilradical(alg))
-        k_i = _solvability_of(alg, fr.jacobson_ideal(alg))
+        n_i = rd._solvability_index_of(alg, rd.nilradical(alg))
+        k_i = rd._solvability_index_of(alg, fr.jacobson_ideal(alg))
         r_j = fr.jacobson_index(alg)
         fx = fr.frattini_index(alg)
         _require(r_j == k_i + 1, "%s: jacobson_index != i_s(K)+1" % name)

@@ -368,14 +368,7 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> QuotientData:
     section = Matrix([[Q1 if free[j] == i else Q0 for j in range(m)] for i in range(n)])
 
     def project(vec: Sequence) -> tuple:
-        v = [qq(x) for x in vec]
-        for r, p in enumerate(ideal.pivots):
-            coeff = v[p]
-            if coeff != 0:
-                brow = ideal.basis.row(r)
-                for t in range(n):
-                    if brow[t] != 0:
-                        v[t] -= coeff * brow[t]
+        v = ideal.reduce(vec)
         return tuple(v[j] for j in free)
 
     projection = Matrix([
@@ -434,22 +427,20 @@ def ideal_closure_series(algebra: LieAlgebra, space: Subspace):
     if not is_subalgebra(algebra, space):
         raise ContractError("subideal test requires a subalgebra")
     terms = [algebra.full_space()]
-    current_alg, current_basis = algebra, Matrix.identity(algebra.dim)
+    current_alg = algebra
     while True:
-        if terms[-1] == space:
+        current = terms[-1]
+        if current == space:
             return tuple(terms), len(terms) - 1
         # coordinates of the seed inside the current term
-        seed_vecs = []
-        for v in space.vectors():
-            coords = Subspace.span(algebra.dim, current_basis.data).coords_of(v)
-            seed_vecs.append(coords)
-        seed = Subspace.span(current_alg.dim, seed_vecs)
+        seed = Subspace.span(current_alg.dim,
+                             [current.coords_of(v) for v in space.vectors()])
         closed = ideal_closure(current_alg, seed)
-        nxt = embed_subspace(current_basis, closed)
-        if nxt == terms[-1]:
+        nxt = embed_subspace(current.basis, closed)
+        if nxt == current:
             return tuple(terms), None
         terms.append(nxt)
-        current_alg, current_basis = restrict_to_subalgebra(algebra, nxt)
+        current_alg, _ = restrict_to_subalgebra(algebra, nxt)
 
 
 def direct_product(algebras: Sequence[LieAlgebra]) -> LieAlgebra:
@@ -486,6 +477,23 @@ def _is_derivation_of(algebra: LieAlgebra, op: Matrix) -> bool:
     return True
 
 
+def _is_lie_homomorphism(algebra: LieAlgebra, ops: Sequence[Matrix]) -> bool:
+    """Whether [ops_i, ops_j] = sum_k c_ij^k ops_k on every basis pair.
+
+    Only pairs i < j are checked: antisymmetry of both sides covers the rest.
+    """
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            expected = Matrix.zeros(ops[i].rows, ops[i].cols)
+            for k, coeff in enumerate(algebra.c[i][j]):
+                if coeff != 0:
+                    expected = expected.add(ops[k].scale(coeff))
+            comm = ops[i].mul(ops[j]).sub(ops[j].mul(ops[i]))
+            if comm != expected:
+                return False
+    return True
+
+
 def semidirect_product(l1: LieAlgebra, l0: LieAlgebra,
                        phi: Sequence[Matrix]) -> LieAlgebra:
     """Semidirect product along an action of l1 on l0 by derivations.
@@ -500,15 +508,8 @@ def semidirect_product(l1: LieAlgebra, l0: LieAlgebra,
             raise ContractError("action operator has wrong shape")
         if not _is_derivation_of(l0, op):
             raise ContractError("action operator is not a derivation of the base")
-    for i in range(l1.dim):
-        for j in range(l1.dim):
-            expected = Matrix.zeros(l0.dim, l0.dim)
-            for k, coeff in enumerate(l1.c[i][j]):
-                if coeff != 0:
-                    expected = expected.add(phi[k].scale(coeff))
-            comm = phi[i].mul(phi[j]).sub(phi[j].mul(phi[i]))
-            if comm != expected:
-                raise ContractError("action is not a Lie homomorphism")
+    if not _is_lie_homomorphism(l1, phi):
+        raise ContractError("action is not a Lie homomorphism")
     n1, n0 = l1.dim, l0.dim
     n = n1 + n0
     c = [[[Q0] * n for _ in range(n)] for _ in range(n)]
@@ -581,7 +582,8 @@ def operator_semidirect(operators: Sequence[Matrix],
         [matrix_from_flat(v, k, k) for v in flat.vectors()]
     m = len(mats)
     # coordinates in the basis `mats` itself (columns = flattened operators)
-    coord_system = Matrix([[op.flatten()[t] for op in mats] for t in range(k * k)])
+    flats = [op.flatten() for op in mats]
+    coord_system = Matrix([[f[t] for f in flats] for t in range(k * k)])
     c = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is declared but often absent: Fraction then runs
     from fractions import Fraction as QQ
 
 Q0 = QQ(0)
@@ -22,8 +22,6 @@ Q1 = QQ(1)
 
 def qq(value) -> "QQ":
     """Coerce ints, strings like '3/4' and rationals to the scalar type."""
-    if isinstance(value, str):
-        return QQ(value)
     return QQ(value)
 
 
@@ -354,7 +352,14 @@ class Subspace:
         """Deterministic tie-break key: pivot columns, then basis entries."""
         return (self.dim, self.pivots, self.basis.flatten())
 
-    def contains_vector(self, vec: Sequence) -> bool:
+    def reduce(self, vec: Sequence) -> tuple:
+        """Remainder of vec after clearing its pivot-column entries.
+
+        Zero exactly when vec lies in the subspace; otherwise the canonical
+        representative of vec modulo the subspace.
+        """
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
         v = [qq(x) for x in vec]
         for r, p in enumerate(self.pivots):
             c = v[p]
@@ -363,7 +368,10 @@ class Subspace:
                 for j in range(self.ambient_dim):
                     if brow[j] != 0:
                         v[j] -= c * brow[j]
-        return all(x == 0 for x in v)
+        return tuple(v)
+
+    def contains_vector(self, vec: Sequence) -> bool:
+        return all(x == 0 for x in self.reduce(vec))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -371,8 +379,14 @@ class Subspace:
         return all(self.contains_vector(v) for v in other.vectors())
 
     def coords_of(self, vec: Sequence) -> Optional[tuple]:
-        """Coefficients of vec in the canonical basis, or None."""
-        return solve(self.basis.transpose(), vec)
+        """Coefficients of vec in the canonical basis, or None.
+
+        Basis row r is 1 at pivot r and 0 at every other pivot, so the
+        coefficients are the entries of vec at the pivot columns.
+        """
+        if not self.contains_vector(vec):
+            return None
+        return tuple(qq(vec[p]) for p in self.pivots)
 
 
 class SpanBuilder:

@@ -15,9 +15,18 @@ eigenvalue separations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from .liealg import ContractError, LieAlgebra, bracket, bracket_spaces, is_ideal
+from .liealg import (
+    ContractError,
+    LieAlgebra,
+    _is_lie_homomorphism,
+    bracket,
+    bracket_spaces,
+    embed_subspace,
+    is_ideal,
+)
 from .linalg import (
     Matrix,
     Q0,
@@ -47,20 +56,8 @@ class Action:
         if self.source is not None:
             if len(self.operators) != self.source.dim:
                 raise ContractError("one operator per acting basis element required")
-            self._check_bracket_compatibility()
-
-    def _check_bracket_compatibility(self):
-        alg = self.source
-        ops = self.operators
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                expected = Matrix.zeros(self.carrier_dim, self.carrier_dim)
-                for k, coeff in enumerate(alg.c[i][j]):
-                    if coeff != 0:
-                        expected = expected.add(ops[k].scale(coeff))
-                comm = ops[i].mul(ops[j]).sub(ops[j].mul(ops[i]))
-                if comm != expected:
-                    raise ContractError("operators do not respect the source brackets")
+            if not _is_lie_homomorphism(self.source, self.operators):
+                raise ContractError("operators do not respect the source brackets")
 
 
 @dataclass(frozen=True)
@@ -77,21 +74,26 @@ def ad_action(algebra: LieAlgebra) -> Action:
     return Action(algebra.dim, ops, source=algebra)
 
 
-def restricted_ad_action(algebra: LieAlgebra, acting_vectors: Sequence,
-                         carrier: Subspace) -> Action:
-    """ad of given elements restricted to an invariant subspace, in its basis."""
-    m = carrier.dim
+def _restricted(maps: Sequence[Callable], carrier: Subspace) -> Action:
+    """Linear maps that leave carrier invariant, as matrices in its basis."""
     ops = []
-    for v in acting_vectors:
+    for apply in maps:
         cols = []
         for row in carrier.vectors():
-            image = bracket(algebra, v, row)
-            coords = carrier.coords_of(image)
+            coords = carrier.coords_of(apply(row))
             if coords is None:
                 raise ContractError("carrier is not invariant under the action")
             cols.append(coords)
-        ops.append(Matrix([[cols[j][i] for j in range(m)] for i in range(m)]))
-    return Action(m, tuple(ops))
+        # the image coordinates are the columns of the restricted operator
+        ops.append(Matrix(list(zip(*cols)), cols=carrier.dim))
+    return Action(carrier.dim, tuple(ops))
+
+
+def restricted_ad_action(algebra: LieAlgebra, acting_vectors: Sequence,
+                         carrier: Subspace) -> Action:
+    """ad of given elements restricted to an invariant subspace, in its basis."""
+    return _restricted([partial(bracket, algebra, v) for v in acting_vectors],
+                       carrier)
 
 
 def associative_envelope(action: Action) -> Envelope:
@@ -179,7 +181,8 @@ def minimal_polynomial(m: Matrix) -> list:
     while True:
         nxt = powers[-1].mul(m)
         if builder.contains(nxt.flatten()):
-            system = Matrix([[p.flatten()[t] for p in powers] for t in range(nn)])
+            flats = [p.flatten() for p in powers]
+            system = Matrix([[f[t] for f in flats] for t in range(nn)])
             coords = solve(system, nxt.flatten())
             coeffs = [-c for c in coords] + [Q1]
             return poly_trim(coeffs) or [Q1]
@@ -266,32 +269,6 @@ def find_proper_submodule(action: Action) -> Optional[Subspace]:
     return min(candidates, key=lambda s: s.sort_key())
 
 
-def _restrict_action(action: Action, space: Subspace) -> Action:
-    m = space.dim
-    ops = []
-    for op in action.operators:
-        cols = []
-        for row in space.vectors():
-            coords = space.coords_of(op.apply(row))
-            if coords is None:
-                raise ContractError("subspace is not invariant")
-            cols.append(coords)
-        ops.append(Matrix([[cols[j][i] for j in range(m)] for i in range(m)]))
-    return Action(m, tuple(ops))
-
-
-def _embed(space_basis: Matrix, inner: Subspace) -> Subspace:
-    vecs = []
-    for v in inner.vectors():
-        out = [Q0] * space_basis.cols
-        for c, row in zip(v, space_basis.data):
-            if c != 0:
-                for j in range(space_basis.cols):
-                    out[j] += c * row[j]
-        vecs.append(out)
-    return Subspace.span(space_basis.cols, vecs)
-
-
 def _equivariant_complement(action: Action, sub: Subspace) -> Subspace:
     """Invariant complement of an invariant subspace of a semisimple action.
 
@@ -365,8 +342,9 @@ def decompose_module(action: Action) -> tuple:
         comp = _equivariant_complement(act, sub)
         out = []
         for part in (sub, comp):
-            part_basis = _embed(embedding, part)
-            out.extend(rec(_restrict_action(act, part), part_basis.basis))
+            part_basis = embed_subspace(embedding, part)
+            restricted = _restricted([op.apply for op in act.operators], part)
+            out.extend(rec(restricted, part_basis.basis))
         return out
 
     n = action.carrier_dim
@@ -396,17 +374,8 @@ def split_over_abelian_ideal(algebra: LieAlgebra, x: Subspace) -> Optional[Subsp
     xbasis = x.vectors()
 
     def x_and_free_parts(vec) -> tuple[tuple, tuple]:
-        v = list(vec)
-        xcoords = [Q0] * d
-        for r, p in enumerate(x.pivots):
-            c = v[p]
-            if c != 0:
-                xcoords[r] = c
-                row = xbasis[r]
-                for t in range(n):
-                    if row[t] != 0:
-                        v[t] -= c * row[t]
-        return tuple(xcoords), tuple(v[j] for j in free)
+        v = x.reduce(vec)
+        return tuple(vec[p] for p in x.pivots), tuple(v[j] for j in free)
 
     w = [algebra.basis_vector(j) for j in free]
     # ad of each w_i on X, in X coordinates

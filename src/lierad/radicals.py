@@ -4,7 +4,10 @@ The solvable radical is the Killing-orthogonal of the derived subalgebra
 (Cartan, characteristic 0); the nilradical is cut out by trace conditions
 against the unital associative envelope of ad(rad), so no algebraic closure
 is ever needed; the Levi complement is lifted stepwise along the derived
-series of the radical, one linear solve per abelian layer.
+series of the radical, one linear solve per abelian layer.  Semisimple
+algebras split into simple ideals through the centroid (primary
+decomposition of centroid elements, ``frattini.direct_summands``), where a
+1-dim centroid of a semisimple summand certifies it simple.
 
 Every constructor returns its certificate alongside nothing: the functions
 raise if their own output fails the checks the theory promises (solvable
@@ -37,7 +40,7 @@ from .liealg import (
     stable_lower_central_term,
 )
 from .linalg import Matrix, Q0, Subspace, nullspace_matrix, span_sum
-from .modules import ad_action, associative_envelope, split_over_abelian_ideal
+from .modules import associative_envelope, split_over_abelian_ideal
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,10 @@ class LeviDecomposition:
     radical: Subspace
 
 
-def _restriction(algebra: LieAlgebra, space: Subspace):
-    return restrict_to_subalgebra(algebra, space)
-
-
 def _solvability_index_of(algebra: LieAlgebra, space: Subspace) -> Optional[int]:
     if space.is_zero():
         return 0
-    sub, _ = _restriction(algebra, space)
+    sub, _ = restrict_to_subalgebra(algebra, space)
     return solvability_index(sub)
 
 
@@ -109,7 +108,7 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
     if not is_ideal(algebra, result):
         raise AssertionError("nilradical candidate is not an ideal")
     if not result.is_zero():
-        sub, _ = _restriction(algebra, result)
+        sub, _ = restrict_to_subalgebra(algebra, result)
         if not lower_central_series(sub).reaches_zero():
             raise AssertionError("nilradical candidate is not nilpotent")
     if not result.contains(bracket_spaces(algebra, algebra.full_space(), rad)):
@@ -125,7 +124,7 @@ def levi_subalgebra(algebra: LieAlgebra) -> LeviDecomposition:
     if not is_subalgebra(algebra, levi):
         raise AssertionError("Levi candidate is not a subalgebra")
     if not levi.is_zero():
-        sub, _ = _restriction(algebra, levi)
+        sub, _ = restrict_to_subalgebra(algebra, levi)
         if not is_killing_nondegenerate(sub):
             raise AssertionError("Levi candidate is not semisimple")
     if not span_sum(levi, rad).is_full() or levi.dim + rad.dim != algebra.dim:
@@ -136,7 +135,7 @@ def levi_subalgebra(algebra: LieAlgebra) -> LeviDecomposition:
 def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
     if rad.is_zero():
         return algebra.full_space()
-    rad_alg, rad_basis = _restriction(algebra, rad)
+    rad_alg, rad_basis = restrict_to_subalgebra(algebra, rad)
     series = derived_series(rad_alg)
     last_nonzero = series.terms[series.stable_index - 1]
     abelian_layer = embed_subspace(rad_basis, last_nonzero)
@@ -145,11 +144,9 @@ def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
     pulled = quot.pull(upper_levi)
     if pulled.is_full() and abelian_layer.is_full():
         return algebra.zero_space()
-    part_alg, part_basis = _restriction(algebra, pulled)
+    part_alg, part_basis = restrict_to_subalgebra(algebra, pulled)
     layer_coords = Subspace.span(
-        part_alg.dim,
-        [Subspace.span(algebra.dim, part_basis.data).coords_of(v)
-         for v in abelian_layer.vectors()])
+        part_alg.dim, [pulled.coords_of(v) for v in abelian_layer.vectors()])
     complement = split_over_abelian_ideal(part_alg, layer_coords)
     if complement is None:
         raise AssertionError("Levi lifting failed over an abelian layer")
@@ -157,31 +154,18 @@ def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
 
 
 def decompose_semisimple(algebra: LieAlgebra) -> tuple:
-    """Simple ideal summands of a Killing-nondegenerate algebra."""
+    """Simple ideal summands of a Killing-nondegenerate algebra.
+
+    The summands are the ideal direct summands that primary decomposition of
+    centroid elements splits off (``frattini.direct_summands``).  The
+    centroid of a semisimple algebra is the product of the centroids of its
+    simple ideals, so a summand with a 1-dim centroid is certified simple; a
+    larger centroid that no probe splits is returned as one summand.
+    """
     if not is_killing_nondegenerate(algebra):
         raise ContractError("decompose_semisimple requires a nondegenerate Killing form")
-    from .modules import find_proper_submodule
-
-    def rec(alg: LieAlgebra, basis: Matrix) -> list:
-        if alg.dim == 0:
-            return []
-        ideal = find_proper_submodule(ad_action(alg))
-        if ideal is None:
-            return [embed_subspace(basis, alg.full_space())]
-        kappa = killing_form(alg)
-        rows = []
-        for v in ideal.vectors():
-            rows.append([sum((kappa.entry(i, j) * v[j] for j in range(alg.dim)), Q0)
-                         for i in range(alg.dim)])
-        ortho = Subspace.span(alg.dim, nullspace_matrix(Matrix(rows)).data)
-        out = []
-        for part in (ideal, ortho):
-            part_alg, part_basis = restrict_to_subalgebra(alg, part)
-            out.extend(rec(part_alg, part_basis.mul(basis)))
-        return out
-
-    parts = rec(algebra, Matrix.identity(algebra.dim))
-    parts = sorted(parts, key=lambda s: s.sort_key())
+    from .frattini import direct_summands
+    parts = direct_summands(algebra)
     kappa = killing_form(algebra)
     for i, a in enumerate(parts):
         if not is_ideal(algebra, a):
@@ -194,7 +178,7 @@ def decompose_semisimple(algebra: LieAlgebra) -> tuple:
                         raise AssertionError("summands are not Killing-orthogonal")
     if sum(p.dim for p in parts) != algebra.dim:
         raise AssertionError("semisimple summands do not span")
-    return tuple(parts)
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +187,7 @@ def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
     levi = levi_subalgebra(algebra)
     if levi.levi.is_zero():
         return algebra.zero_space()
-    levi_alg, levi_basis = _restriction(algebra, levi.levi)
+    levi_alg, levi_basis = restrict_to_subalgebra(algebra, levi.levi)
     total = algebra.zero_space()
     for comp in decompose_semisimple(levi_alg):
         embedded = embed_subspace(levi_basis, comp)
@@ -212,7 +196,7 @@ def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
     if not total.is_zero():
         if not is_ideal(algebra, total):
             raise AssertionError("semisimple ideal candidate is not an ideal")
-        sub, _ = _restriction(algebra, total)
+        sub, _ = restrict_to_subalgebra(algebra, total)
         if not is_killing_nondegenerate(sub):
             raise AssertionError("semisimple ideal candidate is degenerate")
     return total
@@ -248,7 +232,7 @@ def superposition_closure(spec: PreradicalSpec, algebra: LieAlgebra):
     terms = [algebra.full_space()]
     while True:
         current = terms[-1]
-        sub, basis = _restriction(algebra, current)
+        sub, basis = restrict_to_subalgebra(algebra, current)
         value = spec.evaluate(sub)
         if not is_ideal(sub, value):
             raise ContractError("evaluator %r returned a non-ideal" % spec.name)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from lierad.linalg import (
     Matrix,
     Subspace,
@@ -140,6 +142,26 @@ def test_subspace_contains_and_coords():
     assert not u.contains_vector((1, 0, 0))
     coords = u.coords_of((1, 1, 1))
     assert coords == (qq(1), qq(1), qq(0))[:2]
+    assert u.coords_of((1, 0, 0)) is None
+    with pytest.raises(ValueError):
+        u.coords_of((1, 1))
+    with pytest.raises(ValueError):
+        u.contains_vector((1, 1, 1, 0))
+
+
+def test_coords_of_matches_solving_the_transposed_system():
+    rng = random.Random(SEED + 5)
+    for _ in range(60):
+        ambient = rng.randint(1, 6)
+        u = random_subspace(rng, ambient, ambient)
+        inside = [qq(0)] * ambient
+        for row in u.vectors():
+            c = rng.randint(-3, 3)
+            inside = [a + c * b for a, b in zip(inside, row)]
+        outside = [qq(rng.randint(-3, 3)) for _ in range(ambient)]
+        for v in (inside, outside):
+            assert u.coords_of(v) == solve(u.basis.transpose(), v)
+        assert u.reduce(inside) == (qq(0),) * ambient
 
 
 def test_solve_particular_and_inconsistent():

@@ -173,6 +173,14 @@ def test_weyl_on_levi_action():
     assert decompose_module(action) == (Subspace.full(2),)
 
 
+def test_restricted_ad_action_rejects_a_non_invariant_carrier():
+    # the Levi part of sl2_v2 moves the line through its first basis vector
+    v2 = corpus("sl2_v2")
+    levi = span(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+    with pytest.raises(ContractError):
+        restricted_ad_action(v2, levi.vectors(), span(5, (0, 0, 0, 1, 0)))
+
+
 def test_nilpotent_action_trace_radical_is_nonidentity_part():
     for name in ("heis3", "sut(4)"):
         from lierad.corpus import corpus_expr

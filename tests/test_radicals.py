@@ -8,8 +8,10 @@ from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.frattini import jacobson_ideal
 from lierad.liealg import (
     ContractError,
+    LieAlgebra,
     bracket_spaces,
     center,
+    change_basis,
     direct_product,
     ideal_closure,
     is_ideal,
@@ -18,7 +20,7 @@ from lierad.liealg import (
     restrict_to_subalgebra,
     stable_derived_term,
 )
-from lierad.linalg import Subspace, qq, span_sum
+from lierad.linalg import Matrix, Subspace, qq, solve, span_sum
 from lierad.radicals import (
     DERIVED_MAP,
     PreradicalSpec,
@@ -84,6 +86,56 @@ def test_decompose_semisimple_fixtures():
     assert [p.dim for p in parts] == [3, 3]
     with pytest.raises(ContractError):
         decompose_semisimple(corpus("heis3"))
+
+
+def test_decompose_semisimple_three_simple_ideals():
+    parts = decompose_semisimple(corpus_expr("direct(sl2,sl2,sl2)"))
+    blocks = [Subspace.span(9, [[qq(1) if j == 3 * b + i else qq(0)
+                                 for j in range(9)] for i in range(3)])
+              for b in range(3)]
+    assert parts == tuple(sorted(blocks, key=lambda s: s.sort_key()))
+
+
+def test_decompose_semisimple_transports_under_basis_change():
+    # unit lower times unit upper triangular: an integer matrix of det 1
+    lower = Matrix([[1, 0, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0], [0, -1, 1, 0, 0, 0],
+                    [1, 0, 3, 1, 0, 0], [0, 2, 0, -1, 1, 0], [-1, 0, 1, 0, 2, 1]])
+    upper = Matrix([[1, 1, 0, -2, 0, 1], [0, 1, 1, 0, 3, 0], [0, 0, 1, 2, 0, -1],
+                    [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 0, 1]])
+    t = lower.mul(upper)
+    scrambled = change_basis(corpus("sl2sl2"), t)
+    first = span(6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
+    second = span(6, (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    # new coordinates x of an old vector u solve t x = u
+    expected = sorted((Subspace.span(6, [solve(t, u) for u in block.vectors()])
+                       for block in (first, second)), key=lambda s: s.sort_key())
+    assert decompose_semisimple(scrambled) == tuple(expected)
+
+
+def _sl2_over_q_sqrt2() -> LieAlgebra:
+    """sl2(Q(sqrt 2)) as a 6-dim Q-algebra, basis (e, f, h, r e, r f, r h)
+    with r = sqrt 2: simple over Q, with the 2-dim centroid Q(sqrt 2)."""
+    base = corpus("sl2").c
+    c = [[None] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(6):
+            coeffs = base[i % 3][j % 3]
+            zero = [qq(0)] * 3
+            if i < 3 and j < 3:
+                c[i][j] = list(coeffs) + zero
+            elif i < 3 or j < 3:
+                c[i][j] = zero + list(coeffs)
+            else:
+                c[i][j] = [2 * x for x in coeffs] + zero
+    return LieAlgebra(6, ["e", "f", "h", "re", "rf", "rh"], c)
+
+
+def test_decompose_semisimple_keeps_a_simple_algebra_with_larger_centroid():
+    from lierad.frattini import centroid
+    alg = _sl2_over_q_sqrt2()
+    assert is_killing_nondegenerate(alg)
+    assert centroid(alg).dim == 2
+    assert decompose_semisimple(alg) == (alg.full_space(),)
 
 
 def test_largest_semisimple_ideal_fixtures():
