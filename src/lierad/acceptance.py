@@ -45,7 +45,8 @@ from .liealg import (
     semidirect_product,
     solvability_index,
 )
-from .linalg import Matrix, Q0, Q1, Subspace, complement_codim, qq, rank, span_sum
+from .linalg import (Matrix, Q0, Q1, Subspace, complement_codim, inverse, qq,
+                     rank, span_sum)
 from .modules import restricted_ad_action
 
 DEFAULT_SEED = 20260810
@@ -252,16 +253,6 @@ def random_semidirect_products(count: int, seed: int) -> list:
             for t in range(n):
                 m[j][t] += c * m[i][t]
         return Matrix(m)
-
-    def inverse(m: Matrix) -> Matrix:
-        n = m.rows
-        aug = Matrix([list(m.row(i)) + [Q1 if j == i else Q0 for j in range(n)]
-                      for i in range(n)])
-        from .linalg import rref
-        red, pivots = rref(aug)
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is not invertible")
-        return Matrix([red.row(i)[n:] for i in range(n)])
 
     pool = []
     sl2_ops = [elementary(2, 0, 1), elementary(2, 1, 0),

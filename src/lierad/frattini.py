@@ -49,6 +49,8 @@ from .linalg import (
     Q0,
     Q1,
     Subspace,
+    determinant,
+    div,
     matrix_from_flat,
     nullspace_matrix,
     nullspace_sparse,
@@ -431,36 +433,11 @@ def _is_rational_square(q) -> bool:
 def _killing_discriminants_compatible(a: LieAlgebra, b: LieAlgebra) -> bool:
     """Necessary condition for isomorphism: Killing dets agree up to squares."""
     ka, kb = killing_form(a), killing_form(b)
-    da = _determinant(ka)
-    db = _determinant(kb)
+    da = determinant(ka)
+    db = determinant(kb)
     if da == 0 or db == 0:
         return da == db
-    return _is_rational_square(da / db)
-
-
-def _determinant(m: Matrix):
-    n = m.rows
-    rows = [list(r) for r in m.data]
-    det = Q1
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Q0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det *= pv
-        for r in range(c + 1, n):
-            f = rows[r][c] / pv
-            if f != 0:
-                for j in range(c, n):
-                    rows[r][j] -= f * rows[c][j]
-    return det
+    return _is_rational_square(div(da, db))
 
 
 def classify_subsimple(algebra: LieAlgebra,

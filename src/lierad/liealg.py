@@ -17,6 +17,7 @@ from .linalg import (
     Q0,
     Q1,
     Subspace,
+    inverse,
     matrix_from_flat,
     nullspace_matrix,
     nullspace_sparse,
@@ -153,16 +154,15 @@ def bracket(algebra: LieAlgebra, u: Sequence, v: Sequence) -> tuple:
     out = [Q0] * n
     c = algebra.c
     for i, a in enumerate(u):
-        if a == 0:
+        if not a:
             continue
         ci = c[i]
         for j, b in enumerate(v):
-            if b == 0:
+            if not b:
                 continue
-            coeffs = ci[j]
             ab = a * b
-            for k, x in enumerate(coeffs):
-                if x != 0:
+            for k, x in enumerate(ci[j]):
+                if x:
                     out[k] += ab * x
     return tuple(out)
 
@@ -284,7 +284,7 @@ def killing_form(algebra: LieAlgebra) -> Matrix:
     out = [[Q0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = ads[i].mul(ads[j]).trace()
+            t = ads[i].trace_of_product(ads[j])
             out[i][j] = t
             out[j][i] = t
     return Matrix(out)
@@ -541,14 +541,13 @@ def change_basis(algebra: LieAlgebra, t: Matrix) -> LieAlgebra:
     n = algebra.dim
     if t.rows != n or t.cols != n:
         raise ContractError("basis-change matrix has wrong shape")
+    try:
+        t_inv = inverse(t)
+    except ValueError:
+        raise ContractError("basis-change matrix is not invertible") from None
     cols = [t.column(i) for i in range(n)]
-    c = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            coords = solve(t, bracket(algebra, cols[i], cols[j]))
-            if coords is None:
-                raise ContractError("basis-change matrix is not invertible")
-            c[i][j] = coords
+    c = [[t_inv.apply(bracket(algebra, cols[i], cols[j])) for j in range(n)]
+         for i in range(n)]
     return LieAlgebra(n, ["f%d" % (k + 1) for k in range(n)], c)
 
 

@@ -5,24 +5,42 @@ two currencies defined here: ``Matrix`` over the rationals and ``Subspace``,
 a subspace of Q^n stored as its unique reduced-row-echelon basis.  Equality
 of subspaces is literal equality of canonical bases, so no tolerances exist
 anywhere in the package.
+
+A scalar is a Python ``int`` when its value is integral and a
+``fractions.Fraction`` otherwise.  The two compare and hash equal and print
+alike, so the choice never shows in results; it only keeps integral work in
+C.  ``qq`` is the one coercion (``Matrix`` applies it to every entry) and
+``div`` the one division, so no float can arise from ``int / int``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Union
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # gmpy2 is declared but often absent: Fraction then runs
-    from fractions import Fraction as QQ
+Scalar = Union[int, Fraction]
 
-Q0 = QQ(0)
-Q1 = QQ(1)
+Q0 = 0
+Q1 = 1
 
 
-def qq(value) -> "QQ":
-    """Coerce ints, strings like '3/4' and rationals to the scalar type."""
-    return QQ(value)
+def qq(value) -> Scalar:
+    """Coerce ints, rationals and strings like '3/4' or '4/2' to a scalar:
+    an int when the value is integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def div(a, b) -> Scalar:
+    """Exact quotient a / b as a scalar; the package's only division."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return qq(a / b)
 
 
 class Matrix:
@@ -35,7 +53,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data: Sequence[Sequence], cols: Optional[int] = None):
-        rows = tuple(tuple(qq(x) for x in row) for row in data)
+        rows = tuple(tuple([x if type(x) is int else qq(x) for x in row])
+                     for row in data)
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else (0 if cols is None else cols)
         for row in rows:
@@ -73,7 +92,7 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -104,11 +123,10 @@ class Matrix:
         for i, row in enumerate(self.data):
             acc = out[i]
             for k, a in enumerate(row):
-                if a == 0:
+                if not a:
                     continue
-                brow = odata[k]
-                for j, b in enumerate(brow):
-                    if b != 0:
+                for j, b in enumerate(odata[k]):
+                    if b:
                         acc[j] += a * b
         return Matrix(out, cols=other.cols)
 
@@ -118,11 +136,11 @@ class Matrix:
             raise ValueError("shape mismatch in apply")
         out = [Q0] * self.rows
         for j, x in enumerate(vec):
-            if x == 0:
+            if not x:
                 continue
-            for i in range(self.rows):
-                a = self.data[i][j]
-                if a != 0:
+            for i, row in enumerate(self.data):
+                a = row[j]
+                if a:
                     out[i] += a * x
         return tuple(out)
 
@@ -135,7 +153,18 @@ class Matrix:
         t = Q0
         for i in range(self.rows):
             t += self.data[i][i]
-        return t
+        return qq(t)
+
+    def trace_of_product(self, other: "Matrix"):
+        """tr(self * other) in O(n^2), without forming the product."""
+        if self.cols != other.rows or self.rows != other.cols:
+            raise ValueError("shape mismatch in trace_of_product")
+        t = Q0
+        for row, col in zip(self.data, zip(*other.data)):
+            for a, b in zip(row, col):
+                if a and b:
+                    t += a * b
+        return qq(t)
 
     def stack(self, other: "Matrix") -> "Matrix":
         if other.rows == 0:
@@ -148,7 +177,7 @@ class Matrix:
 
     def flatten(self) -> tuple:
         """Row-major entry tuple (the operator-space coordinates)."""
-        return tuple(x for row in self.data for x in row)
+        return tuple(chain.from_iterable(self.data))
 
 
 def matrix_from_flat(entries: Sequence, rows: int, cols: int) -> Matrix:
@@ -167,7 +196,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -175,17 +204,16 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
         if pv != 1:
-            inv = Q1 / pv
-            rows[r] = [x * inv for x in rows[r]]
+            rows[r] = [div(x, pv) if x else Q0 for x in rows[r]]
         prow = rows[r]
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][c]
-            if f != 0:
+            if f:
                 ri = rows[i]
                 for j in range(c, ncols):
-                    if prow[j] != 0:
+                    if prow[j]:
                         ri[j] -= f * prow[j]
         pivots.append(c)
         r += 1
@@ -224,7 +252,7 @@ def nullspace_sparse(rows: Iterable[dict], ncols: int) -> Matrix:
     """
     pivot_rows: dict[int, dict] = {}
     for raw in rows:
-        row = {j: qq(v) for j, v in raw.items() if v != 0}
+        row = {j: qq(v) for j, v in raw.items() if v}
         while row:
             lead = min(row)
             if lead in pivot_rows:
@@ -233,13 +261,13 @@ def nullspace_sparse(rows: Iterable[dict], ncols: int) -> Matrix:
                     if j == lead:
                         continue
                     nv = row.get(j, Q0) - factor * v
-                    if nv == 0:
+                    if not nv:
                         row.pop(j, None)
                     else:
                         row[j] = nv
             else:
-                inv = Q1 / row[lead]
-                pivot_rows[lead] = {j: v * inv for j, v in row.items()}
+                pv = row[lead]
+                pivot_rows[lead] = {j: div(v, pv) for j, v in row.items()}
                 break
     for lead in sorted(pivot_rows, reverse=True):
         prow = pivot_rows[lead]
@@ -251,7 +279,7 @@ def nullspace_sparse(rows: Iterable[dict], ncols: int) -> Matrix:
                 if j == lead:
                     continue
                 nv = orow.get(j, Q0) - factor * v
-                if nv == 0:
+                if not nv:
                     orow.pop(j, None)
                 else:
                     orow[j] = nv
@@ -288,6 +316,47 @@ def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
     for r, p in enumerate(pivots):
         x[p] = red.entry(r, a.cols)
     return tuple(x)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Inverse of a square matrix; ValueError if it is singular."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("inverse of non-square matrix")
+    aug = Matrix([list(row) + [Q1 if j == i else Q0 for j in range(n)]
+                  for i, row in enumerate(m.data)], cols=2 * n)
+    red, pivots = rref(aug)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is not invertible")
+    return Matrix([red.row(i)[n:] for i in range(n)], cols=n)
+
+
+def determinant(m: Matrix) -> Scalar:
+    """Determinant of a square matrix by Gaussian elimination."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("determinant of non-square matrix")
+    rows = [list(r) for r in m.data]
+    det = Q1
+    for c in range(n):
+        pivot = None
+        for r in range(c, n):
+            if rows[r][c]:
+                pivot = r
+                break
+        if pivot is None:
+            return Q0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        pv = rows[c][c]
+        det *= pv
+        for r in range(c + 1, n):
+            f = div(rows[r][c], pv)
+            if f:
+                for j in range(c, n):
+                    rows[r][j] -= f * rows[c][j]
+    return qq(det)
 
 
 class Subspace:
@@ -360,18 +429,17 @@ class Subspace:
         """
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        v = [qq(x) for x in vec]
-        for r, p in enumerate(self.pivots):
+        v = [x if type(x) is int else qq(x) for x in vec]
+        for brow, p in zip(self.basis.data, self.pivots):
             c = v[p]
-            if c != 0:
-                brow = self.basis.row(r)
-                for j in range(self.ambient_dim):
-                    if brow[j] != 0:
-                        v[j] -= c * brow[j]
+            if c:
+                for j, b in enumerate(brow):
+                    if b:
+                        v[j] -= c * b
         return tuple(v)
 
     def contains_vector(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -404,33 +472,31 @@ class SpanBuilder:
         self.pivot_of: dict[int, int] = {}
 
     def _reduce(self, vec: Sequence) -> list:
-        v = [qq(x) for x in vec]
+        v = [x if type(x) is int else qq(x) for x in vec]
         for p, r in self.pivot_of.items():
             c = v[p]
-            if c != 0:
-                row = self.rows[r]
-                for j in range(self.ambient_dim):
-                    if row[j] != 0:
-                        v[j] -= c * row[j]
+            if c:
+                for j, b in enumerate(self.rows[r]):
+                    if b:
+                        v[j] -= c * b
         return v
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
+        return not any(self._reduce(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; True if it enlarged the span."""
         v = self._reduce(vec)
         pivot = None
         for j, x in enumerate(v):
-            if x != 0:
+            if x:
                 pivot = j
                 break
         if pivot is None:
             return False
         pv = v[pivot]
         if pv != 1:
-            inv = Q1 / pv
-            v = [x * inv for x in v]
+            v = [div(x, pv) if x else Q0 for x in v]
         self.pivot_of[pivot] = len(self.rows)
         self.rows.append(v)
         return True
@@ -466,7 +532,7 @@ def span_intersect(u: Subspace, v: Subspace) -> Subspace:
         coeffs = krow[:u.dim]
         vec = [Q0] * u.ambient_dim
         for c, brow in zip(coeffs, u.vectors()):
-            if c != 0:
+            if c:
                 for j in range(u.ambient_dim):
                     vec[j] += c * brow[j]
         vecs.append(vec)

@@ -150,7 +150,7 @@ def trace_radical(envelope: Envelope) -> Subspace:
     gram = [[Q0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            t = envelope.basis[i].mul(envelope.basis[j]).trace()
+            t = envelope.basis[i].trace_of_product(envelope.basis[j])
             gram[i][j] = t
             gram[j][i] = t
     ker = nullspace_matrix(Matrix(gram))

@@ -12,7 +12,7 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from .linalg import Q0, Q1, QQ, qq
+from .linalg import Q0, Q1, Scalar, div, qq
 
 
 def poly_trim(p: list) -> list:
@@ -54,7 +54,7 @@ def poly_divmod(p: list, d: list) -> tuple[list, list]:
     lead = d[-1]
     while poly_trim(rem) and poly_degree(rem) >= dl:
         shift = poly_degree(rem) - dl
-        factor = rem[-1] / lead
+        factor = div(rem[-1], lead)
         quo[shift] = factor
         for i, c in enumerate(d):
             rem[shift + i] -= factor * c
@@ -65,7 +65,7 @@ def poly_monic(p: list) -> list:
     lead = p[-1]
     if lead == 1:
         return list(p)
-    return [c / lead for c in p]
+    return [div(c, lead) for c in p]
 
 
 def _integer_primitive(p: list) -> list[int]:
@@ -107,7 +107,7 @@ def _rational_roots(ints: list[int]) -> list:
         seen = set()
         for p in _divisors(a0):
             for q in _divisors(an):
-                for cand in (QQ(p, q), QQ(-p, q)):
+                for cand in (div(p, q), div(-p, q)):
                     if cand in seen:
                         continue
                     seen.add(cand)
@@ -161,14 +161,14 @@ def _lagrange(xs: list, ys: list) -> Optional[list]:
             if i == j:
                 continue
             denom = qq(xi) - qq(xj)
-            term = poly_mul(term, [-qq(xj) / denom, Q1 / denom])
+            term = poly_mul(term, [div(-xj, denom), div(Q1, denom)])
         acc = [a + b for a, b in
                zip(acc + [Q0] * (len(term) - len(acc)),
                    term + [Q0] * (len(acc) - len(term)))]
     return poly_trim(acc) or None
 
 
-def factor_rational_poly(p) -> tuple[QQ, list[list]]:
+def factor_rational_poly(p) -> tuple[Scalar, list[list]]:
     """Factor a nonzero rational polynomial into monic irreducibles over Q.
 
     Returns (leading coefficient, factor list); the product of the factors

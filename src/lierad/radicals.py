@@ -102,7 +102,7 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
     env = associative_envelope(Action(n, tuple(rad_ads)))
     rows = []
     for b in env.basis:
-        rows.append([rad_ads[j].mul(b).trace() for j in range(rad.dim)])
+        rows.append([rad_ads[j].trace_of_product(b) for j in range(rad.dim)])
     coords = nullspace_matrix(Matrix(rows))
     result = embed_subspace(rad.basis, Subspace.span(rad.dim, coords.data))
     if not is_ideal(algebra, result):

@@ -23,7 +23,7 @@ from lierad.frattini import (
     verify_subdirect,
 )
 from lierad.liealg import change_basis, validate
-from lierad.linalg import Matrix, Subspace, qq, rref
+from lierad.linalg import Matrix, Subspace, inverse, qq, rref
 from lierad.radicals import levi_subalgebra, nilradical, solvable_radical
 
 SEED = 20260810
@@ -91,14 +91,5 @@ def test_change_basis_is_invertible():
     t = unimodular(rng, 3)
     red, pivots = rref(t)
     assert pivots == (0, 1, 2)
-    back = change_basis(change_basis(h, t), inverse_of(t))
+    back = change_basis(change_basis(h, t), inverse(t))
     assert back.c == h.c
-
-
-def inverse_of(m: Matrix) -> Matrix:
-    n = m.rows
-    aug = Matrix([list(m.row(i)) + [qq(1) if j == i else qq(0)
-                                    for j in range(n)] for i in range(n)])
-    red, pivots = rref(aug)
-    assert pivots == tuple(range(n))
-    return Matrix([red.row(i)[n:] for i in range(n)])
