@@ -35,6 +35,7 @@ from .liealg import (
     center,
     derived_series,
     direct_product,
+    embed_subspace,
     is_characteristic,
     is_ideal,
     is_killing_nondegenerate,
@@ -54,16 +55,6 @@ DEFAULT_SEED = 20260810
 
 def _span(ambient: int, *vecs) -> Subspace:
     return Subspace.span(ambient, [[qq(x) for x in v] for v in vecs])
-
-
-def _block_embed(space: Subspace, offset: int, total: int) -> Subspace:
-    vecs = []
-    for v in space.vectors():
-        out = [Q0] * total
-        for j, x in enumerate(v):
-            out[offset + j] = x
-        vecs.append(out)
-    return Subspace.span(total, vecs)
 
 
 class CriterionFailure(AssertionError):
@@ -342,11 +333,13 @@ def criterion_10() -> str:
     for i, (name_a, a) in enumerate(members):
         for name_b, b in members[i:]:
             product = direct_product([a, b])
-            total = product.dim
+            unit = Matrix.identity(product.dim).data
+            a_block = Matrix(unit[:a.dim], cols=product.dim)
+            b_block = Matrix(unit[a.dim:], cols=product.dim)
 
             def blockwise(ua: Subspace, ub: Subspace) -> Subspace:
-                return span_sum(_block_embed(ua, 0, total),
-                                _block_embed(ub, a.dim, total))
+                return span_sum(embed_subspace(a_block, ua),
+                                embed_subspace(b_block, ub))
 
             for rname, fn in (("rad", rd.solvable_radical),
                               ("nilrad", rd.nilradical),

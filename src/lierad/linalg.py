@@ -9,20 +9,34 @@ anywhere in the package.
 A scalar is a Python ``int`` when its value is integral and a
 ``fractions.Fraction`` otherwise.  The two compare and hash equal and print
 alike, so the choice never shows in results; it only keeps integral work in
-C.  ``qq`` is the one coercion (``Matrix`` applies it to every entry) and
-``div`` the one division, so no float can arise from ``int / int``.
+C.  ``qq`` is the one coercion (``Matrix`` applies it to the entries that
+are not already ints) and ``div`` the one division, so no float can arise
+from ``int / int``.
+
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): ``rref``,
+``nullspace_sparse`` and ``SpanBuilder`` clear a row's denominators once,
+on entry (``primitive_part``), and combine integer rows as ``a*v - b*row``
+with ``a = pivot/g``, ``b = f/g`` and ``g = gcd(pivot, f)``, keeping rows
+primitive with positive pivots.  A pivot that divides the entry it clears
+(in particular a pivot of 1) is a plain sparse subtraction.  Fractions
+appear only once, when a finished row is divided by its pivot to give the
+canonical form; since the RREF is unique, the results are those of
+elimination over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 Q0 = 0
 Q1 = 1
+
+_INTS = frozenset((int,))
 
 
 def qq(value) -> Scalar:
@@ -43,6 +57,23 @@ def div(a, b) -> Scalar:
     return qq(a / b)
 
 
+def primitive_part(values: Sequence) -> list:
+    """values times a positive rational: coprime ints with the same signs.
+
+    Denominators are cleared with their lcm and the content (gcd of the
+    entries) divided out; an all-zero input comes back as zeros.  Entries
+    are scalars (ints or Fractions).
+    """
+    dens = [x.denominator for x in values if type(x) is not int]
+    if dens:
+        den = lcm(*dens)
+        values = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*values)
+    if g > 1:
+        return [x // g for x in values]
+    return list(values)
+
+
 class Matrix:
     """Immutable dense rational matrix, rows stored as tuples.
 
@@ -50,11 +81,16 @@ class Matrix:
     matrices keep their shape through transposes and products.
     """
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "data", "_hash", "_support", "_all_int")
 
     def __init__(self, data: Sequence[Sequence], cols: Optional[int] = None):
-        rows = tuple(tuple([x if type(x) is int else qq(x) for x in row])
-                     for row in data)
+        rows = tuple(map(tuple, data))
+        all_int = _INTS.issuperset(map(type, chain.from_iterable(rows)))
+        if not all_int:
+            rows = tuple(tuple([x if type(x) is int else qq(x) for x in row])
+                         for row in rows)
+            all_int = _INTS.issuperset(map(type, chain.from_iterable(rows)))
+        self._all_int = all_int
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else (0 if cols is None else cols)
         for row in rows:
@@ -62,6 +98,7 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
         self.data = rows
         self._hash = None
+        self._support = None
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -81,6 +118,17 @@ class Matrix:
 
     def __repr__(self) -> str:
         return "Matrix(%r)" % [[str(x) for x in row] for row in self.data]
+
+    @property
+    def support(self) -> tuple:
+        """Per row, the ``(column, entry)`` pairs of its nonzero entries.
+
+        Computed on first use and kept: the matrix is immutable.
+        """
+        if self._support is None:
+            self._support = tuple(tuple([(j, x) for j, x in enumerate(row) if x])
+                                  for row in self.data)
+        return self._support
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
@@ -118,17 +166,16 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        out = [[Q0] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                for j, b in enumerate(odata[k]):
-                    if b:
-                        acc[j] += a * b
-        return Matrix(out, cols=other.cols)
+        ocols = other.cols
+        osupport = other.support
+        out = []
+        for srow in self.support:
+            acc = [Q0] * ocols
+            for k, a in srow:
+                for j, b in osupport[k]:
+                    acc[j] += a * b
+            out.append(acc)
+        return Matrix(out, cols=ocols)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
@@ -160,9 +207,11 @@ class Matrix:
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError("shape mismatch in trace_of_product")
         t = Q0
-        for row, col in zip(self.data, zip(*other.data)):
-            for a, b in zip(row, col):
-                if a and b:
+        odata = other.data
+        for i, srow in enumerate(self.support):
+            for k, a in srow:
+                b = odata[k][i]
+                if b:
                     t += a * b
         return qq(t)
 
@@ -189,37 +238,61 @@ def matrix_from_flat(entries: Sequence, rows: int, cols: int) -> Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and pivot columns; row space preserved."""
-    rows = [list(r) for r in m.data]
     nrows, ncols = m.rows, m.cols
+    if m._all_int:
+        rows = [list(r) for r in m.data]
+    else:
+        rows = [primitive_part(r) for r in m.data]
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
         for i in range(r, nrows):
             if rows[i][c]:
-                pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
+        prow = rows[i]
+        rows[i] = rows[r]
+        pv = prow[c]
         if pv != 1:
-            rows[r] = [div(x, pv) if x else Q0 for x in rows[r]]
-        prow = rows[r]
+            g = gcd(*prow)
+            if pv < 0:
+                g = -g
+            if g != 1:
+                prow = [x // g for x in prow]
+                pv = prow[c]
+        rows[r] = prow
+        support = None
         for i in range(nrows):
-            if i == r:
+            ri = rows[i]
+            f = ri[c]
+            if not f or i == r:
                 continue
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        ri[j] -= f * prow[j]
+            if support is None:
+                # entries of prow left of c are zero
+                support = [(j, y) for j, y in enumerate(prow[c:], c) if y]
+            scaled = False
+            if pv != 1:
+                g = gcd(pv, f)
+                a = pv // g
+                f //= g
+                if a != 1:
+                    ri = rows[i] = [a * x for x in ri]
+                    scaled = True
+            for j, y in support:
+                ri[j] -= f * y
+            if scaled:
+                g = gcd(*ri)
+                if g != 1:
+                    rows[i] = [x // g for x in ri]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    kept = [row for row in rows[:r]]
+    kept = []
+    for row, c in zip(rows, pivots):
+        pv = row[c]
+        kept.append(row if pv == 1 else [div(x, pv) if x else Q0 for x in row])
     return (Matrix(kept, cols=ncols) if kept else Matrix.zeros(0, ncols)), tuple(pivots)
 
 
@@ -227,20 +300,60 @@ def rank(m: Matrix) -> int:
     return rref(m)[0].rows
 
 
+def _kernel_basis(reduced: list, ncols: int) -> Matrix:
+    """Kernel basis of a system in reduced form, one vector per free column.
+
+    ``reduced`` holds ``(pivot, entries)`` pairs: a row with entry 1 at its
+    pivot, 0 at every other pivot, and ``entries`` its other nonzero
+    ``(column, entry)`` pairs.  Free column f gives the vector that is 1 at
+    f and minus row p's entry at f on each pivot p.
+    """
+    pivot_set = {p for p, _ in reduced}
+    free = [f for f in range(ncols) if f not in pivot_set]
+    vecs = {}
+    for f in free:
+        vecs[f] = vec = [Q0] * ncols
+        vec[f] = Q1
+    for p, entries in reduced:
+        for j, x in entries:
+            vecs[j][p] = -x
+    basis = [vecs[f] for f in free]
+    return Matrix(basis, cols=ncols) if basis else Matrix.zeros(0, ncols)
+
+
 def nullspace_matrix(m: Matrix) -> Matrix:
     """Basis (as rows) of the right kernel {x : Mx = 0}."""
     red, pivots = rref(m)
-    ncols = m.cols
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Q0] * ncols
-        vec[f] = Q1
-        for r, p in enumerate(pivots):
-            vec[p] = -red.entry(r, f)
-        basis.append(vec)
-    return Matrix(basis, cols=ncols) if basis else Matrix.zeros(0, ncols)
+    return _kernel_basis([(p, [(j, x) for j, x in srow if j != p])
+                          for p, srow in zip(pivots, red.support)], m.cols)
+
+
+def _clear_sparse(row: dict, col: int, prow: dict) -> dict:
+    """Fraction-free ``a*row - b*prow``, zero at col, prow's pivot column.
+
+    Rows are dicts of nonzero integer entries; a row that was scaled is
+    divided by its content again.
+    """
+    f, pv = row[col], prow[col]
+    scaled = False
+    if pv != 1:
+        g = gcd(pv, f)
+        a = pv // g
+        f //= g
+        if a != 1:
+            row = {j: a * v for j, v in row.items()}
+            scaled = True
+    for j, v in prow.items():
+        nv = row.get(j, Q0) - f * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    if scaled and row:
+        g = gcd(*row.values())
+        if g != 1:
+            row = {j: v // g for j, v in row.items()}
+    return row
 
 
 def nullspace_sparse(rows: Iterable[dict], ncols: int) -> Matrix:
@@ -252,50 +365,36 @@ def nullspace_sparse(rows: Iterable[dict], ncols: int) -> Matrix:
     """
     pivot_rows: dict[int, dict] = {}
     for raw in rows:
-        row = {j: qq(v) for j, v in raw.items() if v}
+        row = {j: v for j, v in raw.items() if v}
+        if not _INTS.issuperset(map(type, row.values())):
+            row = dict(zip(row, primitive_part([qq(v) for v in row.values()])))
         while row:
             lead = min(row)
-            if lead in pivot_rows:
-                factor = row.pop(lead)
-                for j, v in pivot_rows[lead].items():
-                    if j == lead:
-                        continue
-                    nv = row.get(j, Q0) - factor * v
-                    if not nv:
-                        row.pop(j, None)
-                    else:
-                        row[j] = nv
-            else:
+            prow = pivot_rows.get(lead)
+            if prow is None:
                 pv = row[lead]
-                pivot_rows[lead] = {j: div(v, pv) for j, v in row.items()}
+                if pv != 1:
+                    g = gcd(*row.values())
+                    if pv < 0:
+                        g = -g
+                    if g != 1:
+                        row = {j: v // g for j, v in row.items()}
+                pivot_rows[lead] = row
                 break
+            row = _clear_sparse(row, lead, prow)
+    # back substitution, largest lead first: the rows it subtracts are
+    # finished, so they bring no pivot column back
     for lead in sorted(pivot_rows, reverse=True):
-        prow = pivot_rows[lead]
-        for other_lead, orow in pivot_rows.items():
-            if other_lead >= lead or lead not in orow:
-                continue
-            factor = orow.pop(lead)
-            for j, v in prow.items():
-                if j == lead:
-                    continue
-                nv = orow.get(j, Q0) - factor * v
-                if not nv:
-                    orow.pop(j, None)
-                else:
-                    orow[j] = nv
-    pivot_set = set(pivot_rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [Q0] * ncols
-        vec[f] = Q1
-        for lead, prow in pivot_rows.items():
-            coeff = prow.get(f)
-            if coeff is not None:
-                vec[lead] = -coeff
-        basis.append(vec)
-    return Matrix(basis, cols=ncols) if basis else Matrix.zeros(0, ncols)
+        row = pivot_rows[lead]
+        for col in [j for j in row if j != lead and j in pivot_rows]:
+            row = _clear_sparse(row, col, pivot_rows[col])
+        pivot_rows[lead] = row
+    reduced = []
+    for lead, row in pivot_rows.items():
+        pv = row.pop(lead)
+        reduced.append((lead, row.items() if pv == 1
+                        else [(j, div(v, pv)) for j, v in row.items()]))
+    return _kernel_basis(reduced, ncols)
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -461,24 +560,39 @@ class SpanBuilder:
     """Incrementally maintained row-reduced spanning set.
 
     Cheaper than recanonicalizing a Subspace on every insertion when growing
-    spans one vector at a time (envelopes, spinning, closures).
+    spans one vector at a time (envelopes, spinning, closures).  ``rows``
+    are primitive integer vectors, in insertion order, each with a positive
+    entry at its pivot and zeros at the pivots of the rows before it.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivot_of")
+    __slots__ = ("ambient_dim", "rows", "_reducers")
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows: list[list] = []
-        self.pivot_of: dict[int, int] = {}
+        self.rows: list[list[int]] = []
+        # per row: (pivot, pivot entry, nonzero (column, entry) pairs)
+        self._reducers: list[tuple] = []
 
     def _reduce(self, vec: Sequence) -> list:
-        v = [x if type(x) is int else qq(x) for x in vec]
-        for p, r in self.pivot_of.items():
+        """An integer multiple of vec minus a combination of the rows,
+        zero at every pivot."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        if _INTS.issuperset(map(type, vec)):
+            v = list(vec)
+        else:
+            v = primitive_part([x if type(x) is int else qq(x) for x in vec])
+        for p, pv, support in self._reducers:
             c = v[p]
             if c:
-                for j, b in enumerate(self.rows[r]):
-                    if b:
-                        v[j] -= c * b
+                if pv != 1:
+                    g = gcd(pv, c)
+                    a = pv // g
+                    c //= g
+                    if a != 1:
+                        v = [a * x for x in v]
+                for j, b in support:
+                    v[j] -= c * b
         return v
 
     def contains(self, vec: Sequence) -> bool:
@@ -487,17 +601,19 @@ class SpanBuilder:
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; True if it enlarged the span."""
         v = self._reduce(vec)
-        pivot = None
-        for j, x in enumerate(v):
-            if x:
-                pivot = j
-                break
-        if pivot is None:
+        if not any(v):
             return False
-        pv = v[pivot]
-        if pv != 1:
-            v = [div(x, pv) if x else Q0 for x in v]
-        self.pivot_of[pivot] = len(self.rows)
+        for pivot, pv in enumerate(v):
+            if pv:
+                break
+        g = gcd(*v)
+        if pv < 0:
+            g = -g
+        if g != 1:
+            v = [x // g for x in v]
+            pv = v[pivot]
+        self._reducers.append(
+            (pivot, pv, [(j, x) for j, x in enumerate(v) if x]))
         self.rows.append(v)
         return True
 

@@ -101,12 +101,12 @@ def associative_envelope(action: Action) -> Envelope:
     n = action.carrier_dim
     nn = n * n
     builder = SpanBuilder(nn)
-    mats: list[Matrix] = []
-    for cand in (Matrix.identity(n),) + tuple(action.operators):
-        if builder.add(cand.flatten()):
-            mats.append(cand)
-    gens = [m for m in mats]
-    frontier = list(mats)
+    identity = Matrix.identity(n)
+    mats: list[Matrix] = [identity] if builder.add(identity.flatten()) else []
+    # m*I = I*m = m is already in the span, so the identity generates nothing
+    gens = [op for op in action.operators if builder.add(op.flatten())]
+    mats += gens
+    frontier = list(gens)
     while frontier:
         m = frontier.pop()
         for g in gens:

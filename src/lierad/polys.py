@@ -9,10 +9,9 @@ adequate at the desk-scale degrees (<= 10) this package produces.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
 from typing import Optional
 
-from .linalg import Q0, Q1, Scalar, div, qq
+from .linalg import Q0, Q1, Scalar, div, primitive_part, qq
 
 
 def poly_trim(p: list) -> list:
@@ -66,20 +65,6 @@ def poly_monic(p: list) -> list:
     if lead == 1:
         return list(p)
     return [div(c, lead) for c in p]
-
-
-def _integer_primitive(p: list) -> list[int]:
-    """Scale a rational polynomial to a primitive integer one."""
-    denoms = 1
-    for c in p:
-        denoms = denoms * int(c.denominator) // gcd(denoms, int(c.denominator))
-    ints = [int(c * denoms) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
 
 
 def _divisors(n: int) -> list[int]:
@@ -181,7 +166,7 @@ def factor_rational_poly(p) -> tuple[Scalar, list[list]]:
     work = poly_monic(p)
     factors: list[list] = []
     while poly_degree(work) >= 1:
-        ints = _integer_primitive(work)
+        ints = primitive_part(work)
         roots = _rational_roots(ints)
         if roots:
             root = roots[0]

@@ -1,8 +1,9 @@
 """The exact kernel against outside oracles: sympy and Hypothesis.
 
-sympy recomputes rref, kernels, solutions, determinants and inverses on
-seeded random matrices with small, huge and non-integral entries; Hypothesis
-checks that ``qq`` and ``div`` land in the scalar domain.
+sympy recomputes rref, kernels, solutions, determinants, inverses and the
+ranks behind ``SpanBuilder`` on seeded random matrices with small, huge and
+non-integral entries; Hypothesis checks that ``qq`` and ``div`` land in the
+scalar domain and that ``rref`` sees only the row space.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from lierad.linalg import (  # noqa: E402
     Matrix,
+    SpanBuilder,
     Subspace,
     determinant,
     div,
@@ -131,6 +133,48 @@ def test_determinant_and_inverse_match_sympy():
                 [[from_sympy(inv[i, j]) for j in range(n)] for i in range(n)])
 
 
+def entry_of_kind(rng: random.Random, kind: str):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "18-digit":
+        return rng.choice((-1, 1, 0)) * rng.randrange(10 ** 17, 10 ** 18)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def test_span_builder_matches_span_and_sympy_rank():
+    rng = random.Random(SEED + 14)
+    for kind in ("int", "18-digit", "fraction"):
+        for _ in range(12):
+            cols = rng.randint(1, 6)
+            gens = [[entry_of_kind(rng, kind) for _ in range(cols)]
+                    for _ in range(rng.randint(1, cols))]
+            vectors = []
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.5:
+                    # a combination of the generators, often already spanned
+                    coeffs = [entry_of_kind(rng, kind) for _ in gens]
+                    vectors.append([sum((Fraction(c) * Fraction(g[j])
+                                         for c, g in zip(coeffs, gens)), Fraction(0))
+                                    for j in range(cols)])
+                else:
+                    vectors.append([entry_of_kind(rng, kind) for _ in range(cols)])
+            builder = SpanBuilder(cols)
+            seen = []
+            for vec in vectors:
+                before = to_sympy(seen).rank() if seen else 0
+                assert builder.contains(vec) == (
+                    to_sympy(seen + [vec]).rank() == before)
+                grew = builder.add(vec)
+                seen.append(vec)
+                after = to_sympy(seen).rank()
+                assert grew == (after > before)
+                assert builder.dim == after
+                assert builder.subspace() == Subspace.span(cols, seen)
+            probe = [entry_of_kind(rng, kind) for _ in range(cols)]
+            assert builder.contains(probe) == \
+                Subspace.span(cols, seen).contains_vector(probe)
+
+
 rationals = st.one_of(
     st.integers(),
     st.fractions(),
@@ -163,3 +207,29 @@ def test_div_lands_in_the_scalar_domain(a, b):
     assert got == Fraction(a) / Fraction(b)
     assert type(got) in (int, Fraction)
     assert (type(got) is int) == ((Fraction(a) / Fraction(b)).denominator == 1)
+
+
+small_rationals = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(-4, 4, max_denominator=6),
+    st.integers(-10 ** 18, 10 ** 18),
+)
+nonzero_rationals = small_rationals.filter(bool)
+
+
+def is_normal(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@given(st.data())
+def test_rref_sees_only_the_row_space(data):
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(small_rationals, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    scales = data.draw(st.lists(nonzero_rationals, min_size=nrows, max_size=nrows))
+    order = data.draw(st.permutations(range(nrows)))
+    red, pivots = rref(Matrix(rows))
+    moved = [[Fraction(c) * Fraction(x) for x in rows[i]] for i, c in zip(order, scales)]
+    assert rref(Matrix(moved)) == (red, pivots)
+    assert all(is_normal(x) for row in red.data for x in row)
+    assert all(red.entry(r, p) == 1 for r, p in enumerate(pivots))

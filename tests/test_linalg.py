@@ -8,6 +8,7 @@ import pytest
 
 from lierad.linalg import (
     Matrix,
+    SpanBuilder,
     Subspace,
     complement_codim,
     matrix_from_flat,
@@ -185,3 +186,16 @@ def test_empty_matrix_keeps_shape():
     assert m.cols == 4
     assert m.transpose().rows == 4 and m.transpose().cols == 0
     assert matrix_from_flat((), 0, 3).cols == 3
+
+
+def test_span_builder_rejects_vectors_of_the_wrong_length():
+    builder = SpanBuilder(3)
+    with pytest.raises(ValueError):
+        builder.add((1, 0))
+    assert builder.add((0, 2, 4))
+    with pytest.raises(ValueError):
+        builder.contains((1, 0, 5, 7))
+    with pytest.raises(ValueError):
+        builder.add((0, 1, 2, 0))
+    assert builder.dim == 1
+    assert builder.subspace() == span(3, (0, 1, 2))

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus
 from lierad.liealg import ContractError, bracket_spaces
-from lierad.linalg import Matrix, Subspace, matrix_from_flat, qq
+from lierad.linalg import (
+    Matrix,
+    SpanBuilder,
+    Subspace,
+    inverse,
+    matrix_from_flat,
+    qq,
+)
 from lierad.modules import (
     Action,
     ad_action,
@@ -36,6 +46,48 @@ def test_envelope_of_zero_action_is_scalars():
     env = associative_envelope(Action(2, (Matrix.zeros(2, 2),)))
     assert len(env.basis) == 1
     assert env.basis[0] == Matrix.identity(2)
+
+
+def closure_with_identity_generator(action: Action) -> tuple:
+    """The envelope closure with the identity among the generators.
+
+    Reference for ``associative_envelope``, which leaves the identity out of
+    the generators because its products add nothing to the span.
+    """
+    n = action.carrier_dim
+    builder = SpanBuilder(n * n)
+    mats = []
+    for cand in (Matrix.identity(n),) + tuple(action.operators):
+        if builder.add(cand.flatten()):
+            mats.append(cand)
+    gens = list(mats)
+    frontier = list(mats)
+    while frontier:
+        m = frontier.pop()
+        for g in gens:
+            for prod in (m.mul(g), g.mul(m)):
+                if builder.add(prod.flatten()):
+                    mats.append(prod)
+                    frontier.append(prod)
+    return tuple(mats)
+
+
+def test_envelope_basis_is_the_closure_with_identity_generator():
+    algebra = dict(random_semidirect_products(25, 20260810))["sl2-natural#10"]
+    change = Matrix([[1, Fraction(1, 2), 0, 0, 3],
+                     [0, 1, Fraction(-2, 3), 0, 0],
+                     [0, 0, 1, Fraction(5, 7), 0],
+                     [0, 0, 0, 1, 1],
+                     [0, 0, 0, 0, 2]])
+    back = inverse(change)
+    conjugated = Action(5, tuple(back.mul(op).mul(change)
+                                 for op in ad_action(algebra).operators))
+    assert any(type(x) is Fraction
+               for op in conjugated.operators for row in op.data for x in row)
+    for action in (ad_action(corpus("ut", 4)), conjugated,
+                   Action(2, (Matrix.zeros(2, 2),)), Action(0, ())):
+        assert associative_envelope(action).basis == \
+            closure_with_identity_generator(action)
 
 
 def test_envelope_of_heis3_adjoint():

@@ -22,6 +22,7 @@ from lierad.linalg import (
     determinant,
     div,
     inverse,
+    primitive_part,
     qq,
     rref,
 )
@@ -52,6 +53,11 @@ def fraction_product(a: list, b: list) -> list:
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
+def fraction_matrix(rows: list) -> Matrix:
+    """The same values given as Fractions, so Matrix coerces every entry."""
+    return Matrix([[Fraction(x) for x in row] for row in rows])
+
+
 def is_normal(x) -> bool:
     """A scalar in canonical form: int when integral, else Fraction."""
     if type(x) is int:
@@ -76,6 +82,16 @@ def test_div_is_exact_and_normal():
     assert div(2, Fraction(4, 3)) == Fraction(3, 2)
     with pytest.raises(ZeroDivisionError):
         div(1, 0)
+
+
+def test_primitive_part_clears_denominators_and_content():
+    assert primitive_part([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2, 0]
+    assert primitive_part([4, -6, 0, 10]) == [2, -3, 0, 5]
+    assert primitive_part([-7]) == [-1]
+    assert primitive_part([0, 0]) == [0, 0]
+    assert primitive_part([]) == []
+    assert primitive_part([Fraction(-6, 5), 3]) == [-2, 5]
+    assert all(type(x) is int for x in primitive_part([Fraction(2, 3), 5]))
 
 
 def test_matrix_entries_are_normalized():
@@ -104,6 +120,19 @@ def test_mixed_matrix_operations_match_fraction_arithmetic():
             for row in a)
         for m in (product, ma.add(mc), ma.scale(Fraction(2, 3)), rref(ma)[0]):
             assert all(is_normal(x) for row in m.data for x in row)
+        # the cached row supports, once filled, change no result
+        plain_a, plain_b = fraction_matrix(a), fraction_matrix(b)
+        for m, rows in ((ma, a), (mb, b)):
+            assert m.support == tuple(
+                tuple((j, Fraction(x)) for j, x in enumerate(row) if x) for row in rows)
+        assert ma == plain_a and hash(ma) == hash(plain_a)
+        assert mb == plain_b and hash(mb) == hash(plain_b)
+        assert ma.mul(mb) == product == Matrix(fraction_product(a, b))
+        back = Matrix(random_matrix(rng, p, n), cols=n)
+        assert ma.mul(mb).trace_of_product(back) == sum(
+            (Fraction(x) * Fraction(y) for row, col in
+             zip(fraction_product(a, b), zip(*back.data)) for x, y in zip(row, col)),
+            Fraction(0))
 
 
 def test_pivot_of_minus_one_keeps_rows_integral():
