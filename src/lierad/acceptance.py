@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .liealg import (
     abelian,
-    ad_matrix,
+    ad_of_basis,
     bracket_spaces,
     center,
     derived_series,
@@ -255,8 +255,7 @@ def random_semidirect_products(count: int, seed: int) -> list:
     pool.append(("aff1-natural", corpus("aff1"), aff_ops))
     for label, alg in (("sl2", make_sl2()), ("heis3", corpus("heis3")),
                        ("aff1", corpus("aff1"))):
-        ads = [ad_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)]
-        pool.append(("%s-adjoint" % label, alg, ads))
+        pool.append(("%s-adjoint" % label, alg, ad_of_basis(alg)))
     from .liealg import change_basis
     out = []
     for k in range(count):

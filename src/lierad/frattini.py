@@ -26,6 +26,7 @@ from .liealg import (
     ContractError,
     LieAlgebra,
     QuotientData,
+    ad_of_basis,
     bracket,
     bracket_spaces,
     center,
@@ -46,20 +47,19 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
-    Q0,
     Q1,
     Subspace,
     determinant,
     div,
     matrix_from_flat,
     nullspace_matrix,
-    nullspace_sparse,
     rank,
     span_intersect,
     span_sum,
 )
 from .modules import (
     Action,
+    commutant,
     decompose_module,
     find_proper_submodule,
     is_completely_reducible,
@@ -162,40 +162,12 @@ class FrattiniFreeResult:
 
 @lru_cache(maxsize=None)
 def centroid(algebra: LieAlgebra) -> Subspace:
-    """{T : T[x,y] = [Tx,y] = [x,Ty]}, as a subspace of operator space."""
-    n = algebra.dim
-    if n == 0:
-        return Subspace.zero(0)
-    c = algebra.c
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                # T([bi,bj])_k - [T bi, bj]_k = 0
-                row: dict = {}
-                for m in range(n):
-                    if c[i][j][m] != 0:
-                        row[k * n + m] = row.get(k * n + m, Q0) + c[i][j][m]
-                for m in range(n):
-                    if c[m][j][k] != 0:
-                        row[m * n + i] = row.get(m * n + i, Q0) - c[m][j][k]
-                if row:
-                    rows.append(row)
-                if i == j:
-                    continue
-                # T([bi,bj])_k - [bi, T bj]_k = 0
-                row = {}
-                for m in range(n):
-                    if c[i][j][m] != 0:
-                        row[k * n + m] = row.get(k * n + m, Q0) + c[i][j][m]
-                for m in range(n):
-                    if c[i][m][k] != 0:
-                        row[m * n + j] = row.get(m * n + j, Q0) - c[i][m][k]
-                if row:
-                    rows.append(row)
-    if not rows:
-        return Subspace.full(n * n)
-    return Subspace.span(n * n, nullspace_sparse(rows, n * n).data)
+    """{T : T[x,y] = [Tx,y] = [x,Ty]}, as a subspace of operator space.
+
+    This is the commutant of the ad action: T[x,y] = [x,Ty] for all x, y
+    gives T[x,y] = -T[y,x] = -[y,Tx] = [Tx,y].
+    """
+    return commutant(Action(algebra.dim, ad_of_basis(algebra)))
 
 
 def _poly_power_kernel(p, mult: int, m: Matrix) -> Subspace:

@@ -174,6 +174,14 @@ def ad_matrix(algebra: LieAlgebra, v: Sequence) -> Matrix:
     return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
+def ad_of_basis(algebra: LieAlgebra) -> tuple:
+    """ad of each basis element, read off the structure constants:
+    ad(b_i) has c[i][j][k] in row k, column j."""
+    n = algebra.dim
+    return tuple(Matrix([[cij[k] for cij in ci] for k in range(n)])
+                 for ci in algebra.c)
+
+
 def bracket_spaces(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     vecs = []
     for x in u.vectors():
@@ -280,7 +288,7 @@ def stable_lower_central_term(algebra: LieAlgebra) -> Subspace:
 @lru_cache(maxsize=None)
 def killing_form(algebra: LieAlgebra) -> Matrix:
     n = algebra.dim
-    ads = [ad_matrix(algebra, algebra.basis_vector(i)) for i in range(n)]
+    ads = ad_of_basis(algebra)
     out = [[Q0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

@@ -6,10 +6,11 @@ operationally: the unital associative envelope of the action must have zero
 trace radical (the characteristic-0 Dickson criterion), which needs no
 eigenvalue computations and stays inside Q.
 
-A returned submodule is always verified invariant before it is handed back;
-completeness of the search ("none found") is only as strong as the
-deterministic probe set, which suffices for split modules with rational
-eigenvalue separations.
+A returned submodule is always verified invariant before it is handed back.
+"No proper submodule" is certified when the envelope is all of M_n(Q)
+(Burnside's theorem: then the action is irreducible); otherwise it is a probe
+outcome, only as strong as the deterministic probe set, which suffices for
+split modules with rational eigenvalue separations.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .liealg import (
     ContractError,
     LieAlgebra,
     _is_lie_homomorphism,
+    ad_of_basis,
     bracket,
     bracket_spaces,
     embed_subspace,
@@ -35,6 +37,7 @@ from .linalg import (
     Subspace,
     matrix_from_flat,
     nullspace_matrix,
+    nullspace_sparse,
     solve,
     span_sum,
 )
@@ -69,9 +72,7 @@ class Envelope:
 
 
 def ad_action(algebra: LieAlgebra) -> Action:
-    from .liealg import ad_matrix
-    ops = tuple(ad_matrix(algebra, algebra.basis_vector(i)) for i in range(algebra.dim))
-    return Action(algebra.dim, ops, source=algebra)
+    return Action(algebra.dim, ad_of_basis(algebra), source=algebra)
 
 
 def _restricted(maps: Sequence[Callable], carrier: Subspace) -> Action:
@@ -224,17 +225,51 @@ def _is_invariant(action: Action, space: Subspace) -> bool:
     return True
 
 
-def find_proper_submodule(action: Action) -> Optional[Subspace]:
-    """A proper nonzero invariant subspace, or None if the probe finds none.
+def _commutant_equations(action: Action) -> list:
+    """Sparse rows {k: coefficient} of T op - op T = 0 over the n*n entries of T.
 
-    Probes: envelope basis elements and small pairwise combinations (minimal
+    T[i][j] is unknown i*n + j; each operator gives one equation per entry
+    (i, j), and those with no terms are left out.  The equations come column
+    j by column j, which keeps the elimination's fill-in low on both the ad
+    actions of solvable algebras and scrambled semisimple ones.
+    """
+    n = action.carrier_dim
+    ops = [([[(t, r[j]) for t, r in enumerate(op.data) if r[j]] for j in range(n)],
+            op.support) for op in action.operators]
+    rows = []
+    for j in range(n):
+        for col_support, row_support in ops:
+            for i in range(n):
+                # (T op)[i][j] = sum_t T[i][t] op[t][j]
+                row = {i * n + t: x for t, x in col_support[j]}
+                # (op T)[i][j] = sum_t op[i][t] T[t][j]
+                for t, x in row_support[i]:
+                    row[t * n + j] = row.get(t * n + j, Q0) - x
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def commutant(action: Action) -> Subspace:
+    """End_A(V) = {T : T op = op T for every operator}, flattened row-major."""
+    nn = action.carrier_dim ** 2
+    return Subspace.span(nn, nullspace_sparse(_commutant_equations(action), nn).data)
+
+
+def find_proper_submodule(action: Action) -> Optional[Subspace]:
+    """A proper nonzero invariant subspace, or None when none is found.
+
+    None is certified when the envelope has dimension n^2: it is then all of
+    M_n(Q), which maps any nonzero vector to any vector, so the action is
+    irreducible (Burnside).  Otherwise None is a probe outcome.  Probes:
+    envelope basis elements and small pairwise combinations (minimal
     polynomial kernels, spun), plus the spin of each carrier basis vector.
     Any returned subspace is verified invariant and proper.
     """
     n = action.carrier_dim
-    if n <= 1:
-        return None
     envelope = associative_envelope(action)
+    if len(envelope.basis) == n * n:
+        return None
     probes: list[Matrix] = list(envelope.basis)
     limit = min(len(envelope.basis), 8)
     for i in range(limit):
@@ -276,46 +311,24 @@ def _equivariant_complement(action: Action, sub: Subspace) -> Subspace:
     kernel is the complement.
     """
     n = action.carrier_dim
-    rows = []
-    rhs = []
+    nn = n * n
     # P commutes with every operator
-    for op in action.operators:
-        for i in range(n):
-            for j in range(n):
-                row = [Q0] * (n * n)
-                for t in range(n):
-                    if op.entry(i, t) != 0:
-                        row[t * n + j] += op.entry(i, t)
-                    if op.entry(t, j) != 0:
-                        row[i * n + t] -= op.entry(t, j)
-                rows.append(row)
-                rhs.append(Q0)
-    # P fixes the subspace pointwise
+    rows = [[eq.get(k, Q0) for k in range(nn)] for eq in _commutant_equations(action)]
+    rhs = [Q0] * len(rows)
+    # P fixes the subspace pointwise: (P w)_i = w_i
     for w in sub.vectors():
         for i in range(n):
-            row = [Q0] * (n * n)
-            for t in range(n):
-                if w[t] != 0:
-                    row[i * n + t] = w[t]
-            rows.append(row)
+            rows.append([Q0] * (i * n) + list(w) + [Q0] * (nn - i * n - n))
             rhs.append(w[i])
-    # columns of P lie in the subspace: kill the complement coordinates
-    pivot_set = set(sub.pivots)
+    # columns of P lie in the subspace: a column v does iff it equals
+    # sum(v[p_r] * b_r) off the pivot coordinates too
+    off_pivot = [i for i in range(n) if i not in sub.pivots]
     for j in range(n):
-        col_conditions = []
-        basis_rows = sub.vectors()
-        for i in range(n):
-            if i in pivot_set:
-                continue
-            row = [Q0] * (n * n)
+        for i in off_pivot:
+            row = [Q0] * nn
             row[i * n + j] = Q1
-            for r, p in enumerate(sub.pivots):
-                if basis_rows[r][i] != 0:
-                    row[p * n + j] -= basis_rows[r][i]
-            col_conditions.append(row)
-        # a column v is in the subspace iff v - sum(v[p_r] * b_r) vanishes
-        # off the pivot coordinates; the rows above express exactly that.
-        for row in col_conditions:
+            for b, p in zip(sub.vectors(), sub.pivots):
+                row[p * n + j] -= b[i]
             rows.append(row)
             rhs.append(Q0)
     sol = solve(Matrix(rows), rhs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.frattini import (
     IdealEstimate,
@@ -38,7 +39,7 @@ from lierad.liealg import (
     is_ideal,
     is_solvable,
 )
-from lierad.linalg import Matrix, Subspace, qq, span_sum
+from lierad.linalg import Matrix, Subspace, nullspace_sparse, qq, span_sum
 from lierad.radicals import nilradical, solvable_radical, levi_radical
 
 
@@ -337,6 +338,37 @@ def test_centroid_contains_identity():
         alg = corpus_expr(expr)
         cent = centroid(alg)
         assert cent.contains_vector(Matrix.identity(alg.dim).flatten()), expr
+
+
+def centroid_from_both_conditions(alg) -> Subspace:
+    """Reference: T[bi,bj] = [T bi, bj] and T[bi,bj] = [bi, T bj] for i <= j,
+    written out over the structure constants (T[k][m] is unknown k*n + m)."""
+    n = alg.dim
+    c = alg.c
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                left = {}
+                right = {}
+                for m in range(n):
+                    if c[i][j][m]:
+                        left[k * n + m] = left.get(k * n + m, 0) + c[i][j][m]
+                        right[k * n + m] = right.get(k * n + m, 0) + c[i][j][m]
+                    if c[m][j][k]:
+                        left[m * n + i] = left.get(m * n + i, 0) - c[m][j][k]
+                    if c[i][m][k]:
+                        right[m * n + j] = right.get(m * n + j, 0) - c[i][m][k]
+                rows += [left, right]
+    return Subspace.span(n * n, nullspace_sparse(rows, n * n).data)
+
+
+def test_centroid_is_the_commutant_of_the_ad_action():
+    algebras = suite_corpus() + list(random_semidirect_products(25, 20260810))
+    algebras += [("ut(%d)" % n, corpus("ut", n)) for n in (4, 5, 6)]
+    assert len(algebras) == 44
+    for name, alg in algebras:
+        assert centroid(alg) == centroid_from_both_conditions(alg), name
 
 
 def test_estimate_types_enforce_order():

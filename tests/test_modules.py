@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from lierad.modules import (
     Action,
     ad_action,
     associative_envelope,
+    commutant,
     decompose_module,
     find_proper_submodule,
     is_completely_reducible,
@@ -84,7 +86,11 @@ def test_envelope_basis_is_the_closure_with_identity_generator():
                                  for op in ad_action(algebra).operators))
     assert any(type(x) is Fraction
                for op in conjugated.operators for row in op.data for x in row)
-    for action in (ad_action(corpus("ut", 4)), conjugated,
+    # a single 3x3 nilpotent Jordan block: the envelope is span(I, J, J^2),
+    # so a closure that skips the first generator's own products stops at 2
+    jordan3 = Action(3, (Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),))
+    assert len(associative_envelope(jordan3).basis) == 3
+    for action in (ad_action(corpus("ut", 4)), conjugated, jordan3,
                    Action(2, (Matrix.zeros(2, 2),)), Action(0, ())):
         assert associative_envelope(action).basis == \
             closure_with_identity_generator(action)
@@ -141,6 +147,98 @@ def test_find_proper_submodule_eigenline_with_tiebreak():
 def test_find_proper_submodule_none_for_irreducible():
     ops = (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]]), diag(1, -1))
     assert find_proper_submodule(Action(2, ops)) is None
+
+
+def sym_power_of_natural_sl2(k: int) -> Action:
+    """sl2 = span(e, f, h) on Sym^k(Q^2), basis x^(k-a) y^a for a = 0..k."""
+    n = k + 1
+    e = Matrix([[a + 1 if b == a + 1 else 0 for b in range(n)] for a in range(n)])
+    f = Matrix([[k - b if a == b + 1 else 0 for b in range(n)] for a in range(n)])
+    return Action(n, (e, f, diag(*[k - 2 * a for a in range(n)])))
+
+
+def test_full_envelope_certifies_irreducible_sym_powers():
+    for k in range(1, 5):
+        action = sym_power_of_natural_sl2(k)
+        n = action.carrier_dim
+        assert len(associative_envelope(action).basis) == n * n, k
+        assert find_proper_submodule(action) is None, k
+
+
+def test_envelope_one_short_of_full_still_probes():
+    # the Borel subalgebra of gl2 on Q^2: its envelope is the upper
+    # triangular matrices, dimension n^2 - 1, and it fixes the line e1
+    borel = Action(2, (diag(1, 0), Matrix([[0, 1], [0, 0]]), diag(0, 1)))
+    assert len(associative_envelope(borel).basis) == 3
+    assert find_proper_submodule(borel) == span(2, (1, 0))
+
+
+def test_rotation_is_irreducible_without_a_full_envelope():
+    # irreducible over Q (x^2 + 1 has no rational root), envelope Q(i) of
+    # dimension 2 < 4, so "none found" comes from the probe search
+    rotation = Action(2, (Matrix([[0, -1], [1, 0]]),))
+    assert len(associative_envelope(rotation).basis) == 2
+    assert find_proper_submodule(rotation) is None
+
+
+def random_actions(seed: int, count: int) -> list:
+    """Seeded actions with larger commutants: direct sums of random blocks,
+    a block repeated (so End holds a matrix algebra), conjugated by a random
+    integral change of basis."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            sizes.append(sizes[0])
+        n = sum(sizes)
+        change = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        try:
+            back = inverse(change)
+        except ValueError:
+            continue
+        ops = []
+        for _ in range(rng.randint(1, 3)):
+            blocks = [[[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+                      for d in sizes]
+            if len(sizes) > 1 and sizes[-1] == sizes[0]:
+                blocks[-1] = blocks[0]
+            op = [[0] * n for _ in range(n)]
+            at = 0
+            for block in blocks:
+                for i, row in enumerate(block):
+                    op[at + i][at:at + len(row)] = row
+                at += len(block)
+            ops.append(back.mul(Matrix(op)).mul(change))
+        out.append(Action(n, tuple(ops)))
+    return out
+
+
+def test_commutant_is_the_algebra_of_equivariant_maps():
+    actions = random_actions(20260810, 20)
+    actions += [sym_power_of_natural_sl2(k) for k in range(1, 5)]
+    actions += [Action(3, ()), Action(0, ()), ad_action(corpus("heis3"))]
+    assert any(commutant(a).dim > 2 for a in actions)
+    for action in actions:
+        n = action.carrier_dim
+        end = commutant(action)
+        assert end.contains_vector(Matrix.identity(n).flatten())
+        mats = [matrix_from_flat(v, n, n) for v in end.vectors()]
+        for t in mats:
+            for op in action.operators:
+                assert t.mul(op) == op.mul(t)
+            for u in mats:
+                assert end.contains_vector(t.mul(u).flatten())
+        if n and len(associative_envelope(action).basis) == n * n:
+            assert end.dim == 1
+
+
+def test_commutant_of_a_repeated_block_is_a_matrix_algebra():
+    # Q^2 + Q^2 with the same irreducible rotation on both: End = M_2(Q(i))
+    r = [[0, -1], [1, 0]]
+    op = Matrix([row + [0, 0] for row in r] + [[0, 0] + row for row in r])
+    assert commutant(Action(4, (op,))).dim == 8
+    assert commutant(Action(3, ())) == Subspace.full(9)
 
 
 def test_find_proper_submodule_zero_action():
