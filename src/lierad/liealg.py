@@ -397,8 +397,6 @@ def restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> tuple[LieAlg
 
     Subspaces of the restriction embed back via the returned basis matrix.
     """
-    if not is_subalgebra(algebra, space):
-        raise ContractError("restriction requires a subalgebra")
     basis = space.basis
     m = space.dim
     c = [[None] * m for _ in range(m)]
@@ -407,7 +405,7 @@ def restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> tuple[LieAlg
             br = bracket(algebra, basis.row(i), basis.row(j))
             coords = space.coords_of(br)
             if coords is None:
-                raise ContractError("bracket left the subspace")
+                raise ContractError("restriction requires a subalgebra")
             c[i][j] = coords
     labels = ["s%d" % i for i in range(m)]
     return LieAlgebra(m, labels, c), basis

@@ -2,8 +2,13 @@
 
 The solvable radical is the Killing-orthogonal of the derived subalgebra
 (Cartan, characteristic 0); the nilradical is cut out by trace conditions
-against the unital associative envelope of ad(rad), so no algebraic closure
-is ever needed; the Levi complement is lifted stepwise along the derived
+against a unital associative envelope, so no algebraic closure is ever
+needed.  That envelope is B, generated by ad over rad vectors independent
+modulo M = [L, rad], not A, generated by ad(rad); A = B + rad(A).  Proof:
+over the closure Lie's theorem makes ad(rad) triangular and ad M, nilpotent
+as M lies in the nilradical, strictly triangular, so ad M lies in rad(A);
+and tr(ad x * r) = 0 for x in rad, r in rad(A), so B and A give the same
+conditions.  The Levi complement is lifted stepwise along the derived
 series of the radical, one linear solve per abelian layer.  Semisimple
 algebras split into simple ideals through the centroid (primary
 decomposition of centroid elements, ``frattini.direct_summands``), where a
@@ -39,7 +44,7 @@ from .liealg import (
     stable_derived_term,
     stable_lower_central_term,
 )
-from .linalg import Matrix, Q0, Subspace, nullspace_matrix, span_sum
+from .linalg import Matrix, Q0, SpanBuilder, Subspace, nullspace_matrix, span_sum
 from .modules import associative_envelope, split_over_abelian_ideal
 
 
@@ -91,15 +96,29 @@ def solvable_radical(algebra: LieAlgebra) -> Subspace:
 
 @lru_cache(maxsize=None)
 def nilradical(algebra: LieAlgebra) -> Subspace:
-    """Largest nilpotent ideal, via trace conditions against env(ad(rad))."""
+    """Largest nilpotent ideal, via trace conditions against an envelope.
+
+    N = {x in rad : tr(ad x * a) = 0 for all a in A}, A the unital envelope
+    of ad(rad) (Dickson's trace criterion).  The conditions are solved
+    against the smaller B, the unital envelope of ad over the rad basis
+    vectors independent modulo M = [L, rad], since A = B + rad(A):
+    by Lie's theorem ad(rad) is triangular over the closure and ad M lies in
+    the nilpotent ad(N), so it is strictly triangular there and in rad(A).
+    As ad x * r lies in rad(A) for r in rad(A), tr(ad x * r) = 0.
+    """
     from .liealg import ad_matrix, lower_central_series
     rad = solvable_radical(algebra)
     n = algebra.dim
     if rad.is_zero():
         return rad
+    commutator = bracket_spaces(algebra, algebra.full_space(), rad)
+    builder = SpanBuilder(n)
+    for v in commutator.vectors():
+        builder.add(v)
     rad_ads = [ad_matrix(algebra, v) for v in rad.vectors()]
+    gens = [a for v, a in zip(rad.vectors(), rad_ads) if builder.add(v)]
     from .modules import Action
-    env = associative_envelope(Action(n, tuple(rad_ads)))
+    env = associative_envelope(Action(n, tuple(gens)))
     rows = []
     for b in env.basis:
         rows.append([rad_ads[j].trace_of_product(b) for j in range(rad.dim)])
@@ -111,7 +130,7 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
         sub, _ = restrict_to_subalgebra(algebra, result)
         if not lower_central_series(sub).reaches_zero():
             raise AssertionError("nilradical candidate is not nilpotent")
-    if not result.contains(bracket_spaces(algebra, algebra.full_space(), rad)):
+    if not result.contains(commutator):
         raise AssertionError("nilradical candidate misses [L, rad]")
     return result
 

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from lierad import radicals
+from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.frattini import jacobson_ideal
 from lierad.liealg import (
     ContractError,
     LieAlgebra,
+    ad_matrix,
     bracket_spaces,
     center,
     change_basis,
     direct_product,
+    embed_subspace,
     ideal_closure,
     is_ideal,
     is_killing_nondegenerate,
@@ -20,7 +27,8 @@ from lierad.liealg import (
     restrict_to_subalgebra,
     stable_derived_term,
 )
-from lierad.linalg import Matrix, Subspace, qq, solve, span_sum
+from lierad.linalg import Matrix, Subspace, nullspace_matrix, qq, solve, span_sum
+from lierad.modules import Action, Envelope, associative_envelope
 from lierad.radicals import (
     DERIVED_MAP,
     PreradicalSpec,
@@ -58,6 +66,82 @@ def test_nilradical_fixtures():
     assert nilradical(corpus("ut", 2)) == span(3, (1, 0, 1), (0, 1, 0))
     assert nilradical(corpus("sl2_v2")) == \
         span(5, (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+
+
+def full_envelope_nilradical(alg: LieAlgebra) -> Subspace:
+    """The trace conditions against the unital envelope of all of ad(rad)."""
+    rad = solvable_radical(alg)
+    if rad.is_zero():
+        return rad
+    rad_ads = [ad_matrix(alg, v) for v in rad.vectors()]
+    env = associative_envelope(Action(alg.dim, tuple(rad_ads)))
+    rows = [[a.trace_of_product(b) for a in rad_ads] for b in env.basis]
+    coords = nullspace_matrix(Matrix(rows))
+    return embed_subspace(rad.basis, Subspace.span(rad.dim, coords.data))
+
+
+def scrambled_ut4() -> LieAlgebra:
+    # unit lower times unit upper triangular, a fifth of the off-diagonal
+    # entries nonzero Fractions: det 1, non-integral structure constants
+    rng = random.Random(0)
+    n = 10
+
+    def entry():
+        if rng.random() < 0.2:
+            return Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+        return 0
+
+    lower = Matrix([[1 if i == j else entry() if j < i else 0
+                     for j in range(n)] for i in range(n)])
+    upper = Matrix([[1 if i == j else entry() if j > i else 0
+                     for j in range(n)] for i in range(n)])
+    return change_basis(corpus("ut", 4), lower.mul(upper))
+
+
+def test_nilradical_equals_the_full_envelope_computation():
+    algebras = suite_corpus() + list(random_semidirect_products(25, 20260810))
+    algebras += [("ut(%d)" % n, corpus("ut", n)) for n in range(2, 7)]
+    algebras.append(("scrambled ut(4)", scrambled_ut4()))
+    assert len(algebras) == 47
+    scrambled = algebras[-1][1]
+    assert any(type(x) is Fraction for row in scrambled.c for vec in row
+               for x in vec)
+    for name, alg in algebras:
+        assert nilradical(alg) == full_envelope_nilradical(alg), name
+    by_name = dict(algebras)
+    # sl2-natural#10, #15 and sl2-adjoint#4, #7, #8, #9: [L, rad] = rad, so
+    # no rad vector is a generator and the envelope is the scalars
+    for name in ("sl2-natural#10", "sl2-natural#15", "sl2-adjoint#4",
+                 "sl2-adjoint#7", "sl2-adjoint#8", "sl2-adjoint#9"):
+        alg = by_name[name]
+        rad = solvable_radical(alg)
+        assert bracket_spaces(alg, alg.full_space(), rad) == rad, name
+    # abelian(3): [L, rad] = 0, so every rad vector is a generator
+    ab = by_name["abelian(3)"]
+    assert bracket_spaces(ab, ab.full_space(), solvable_radical(ab)).is_zero()
+
+
+def test_nilradical_certificate_fires_on_a_scalars_only_envelope(monkeypatch):
+    # tr(ad v) = 0 alone keeps h1 - h2 in direct(aff1,aff1) (basis h1, x1,
+    # h2, x2 with [h, x] = x): an ideal, not nilpotent as [h1 - h2, x1] = x1
+    def scalars_only(action):
+        n = action.carrier_dim
+        return Envelope(n, (Matrix.identity(n),))
+
+    monkeypatch.setattr(radicals, "associative_envelope", scalars_only)
+    nilradical.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match="nilradical candidate is not nilpotent"):
+            nilradical(corpus_expr("direct(aff1,aff1)"))
+    finally:
+        nilradical.cache_clear()
+
+
+def test_restriction_to_a_non_subalgebra_is_a_contract_error():
+    s = corpus("sl2")
+    with pytest.raises(ContractError, match="restriction requires a subalgebra"):
+        restrict_to_subalgebra(s, span(3, (1, 0, 0), (0, 1, 0)))
 
 
 def test_levi_fixtures():
