@@ -564,18 +564,23 @@ def verify_subdirect(components, embedding: Matrix, algebra: LieAlgebra) -> bool
 
 def index_class(algebra: LieAlgebra) -> tuple:
     """Partition by Frattini/Jacobson index pattern; Undetermined on spanning
-    intervals."""
+    intervals.
+
+    r_J is already the solvability index of K_L plus one, except on the zero
+    algebra (r_J = 0), which is Undetermined.
+    """
     r_s = frattini_index(algebra)
     r_j = jacobson_index(algebra)
-    k_i = _solvability_index_of(algebra, jacobson_ideal(algebra))
+    if algebra.dim == 0:
+        return "Undetermined", (r_s, r_j)
     n_i = _solvability_index_of(algebra, nilradical(algebra))
 
     def class_of(v: int) -> Optional[str]:
-        if v == r_j == k_i + 1 == n_i + 1:
+        if v == r_j == n_i + 1:
             return "C1"
-        if v == r_j == k_i + 1 == n_i:
+        if v == r_j == n_i:
             return "C2"
-        if v + 1 == r_j == k_i + 1 == n_i + 1:
+        if v + 1 == r_j == n_i + 1:
             return "C3"
         return None
 

@@ -40,16 +40,11 @@ class LieAlgebra:
     def __init__(self, dim: int, labels: Sequence[str], c):
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
-        tensor = tuple(
-            tuple(tuple(qq(x) for x in c[i][j]) for j in range(dim))
-            for i in range(dim)
-        )
-        for i in range(dim):
-            if len(c[i]) != dim:
-                raise ValueError("structure tensor is not dim x dim")
-            for j in range(dim):
-                if len(tensor[i][j]) != dim:
-                    raise ValueError("bracket coordinate vector has wrong length")
+        if len(c) != dim or any(len(row) != dim for row in c):
+            raise ValueError("structure tensor is not dim x dim")
+        tensor = tuple(tuple(tuple(qq(x) for x in cij) for cij in row) for row in c)
+        if any(len(cij) != dim for row in tensor for cij in row):
+            raise ValueError("bracket coordinate vector has wrong length")
         self.dim = dim
         self.labels = tuple(str(x) for x in labels)
         self.c = tensor
@@ -183,10 +178,20 @@ def ad_of_basis(algebra: LieAlgebra) -> tuple:
 
 
 def bracket_spaces(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    vecs = []
-    for x in u.vectors():
-        for y in v.vectors():
-            vecs.append(bracket(algebra, x, y))
+    """[U, V], the span of the brackets of the basis vectors of U and V.
+
+    The tensor is assumed antisymmetric (as ``_is_lie_homomorphism`` does):
+    when U == V only the pairs i < j are bracketed, since [y, x] = -[x, y]
+    and [x, x] = 0 add nothing to the span.
+    """
+    if u.ambient_dim != algebra.dim or v.ambient_dim != algebra.dim:
+        raise ValueError("vector length does not match algebra dimension")
+    xs = u.vectors()
+    if u == v:
+        vecs = [bracket(algebra, x, y)
+                for i, x in enumerate(xs) for y in xs[i + 1:]]
+    else:
+        vecs = [bracket(algebra, x, y) for x in xs for y in v.vectors()]
     return Subspace.span(algebra.dim, vecs)
 
 
@@ -396,17 +401,27 @@ def restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> tuple[LieAlg
     """The algebra structure on a subalgebra, plus its basis (rows) in L.
 
     Subspaces of the restriction embed back via the returned basis matrix.
+    The tensor is assumed antisymmetric (as ``_is_lie_homomorphism`` does):
+    only the pairs i < j are bracketed, c[j][i] is their negation and the
+    diagonal is zero.  The full space restricts to the algebra itself, since
+    its canonical basis is the identity.
     """
+    if space.ambient_dim != algebra.dim:
+        raise ValueError("vector length does not match algebra dimension")
     basis = space.basis
     m = space.dim
-    c = [[None] * m for _ in range(m)]
+    if m == algebra.dim:
+        return algebra, basis
+    zero = (Q0,) * m
+    c = [[zero] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
+        for j in range(i + 1, m):
             br = bracket(algebra, basis.row(i), basis.row(j))
             coords = space.coords_of(br)
             if coords is None:
                 raise ContractError("restriction requires a subalgebra")
             c[i][j] = coords
+            c[j][i] = tuple(-x for x in coords)
     labels = ["s%d" % i for i in range(m)]
     return LieAlgebra(m, labels, c), basis
 

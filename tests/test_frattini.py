@@ -30,6 +30,7 @@ from lierad.frattini import (
 )
 from lierad.liealg import (
     ContractError,
+    LieAlgebra,
     bracket_spaces,
     center,
     derived_series,
@@ -40,7 +41,12 @@ from lierad.liealg import (
     is_solvable,
 )
 from lierad.linalg import Matrix, Subspace, nullspace_sparse, qq, span_sum
-from lierad.radicals import nilradical, solvable_radical, levi_radical
+from lierad.radicals import (
+    _solvability_index_of,
+    levi_radical,
+    nilradical,
+    solvable_radical,
+)
 
 
 def span(n, *vectors):
@@ -207,6 +213,39 @@ def test_index_class_fixtures():
     assert index_class(corpus("aff1"))[0] == "C3"
     assert index_class(corpus("abelian", 2))[0] == "C2"
     assert index_class(corpus("ut", 3))[0] == "Undetermined"
+
+
+def jacobson_ideal_index_class(alg) -> str:
+    """index_class with the solvability index of K_L spelled out."""
+    r_s = frattini_index(alg)
+    r_j = jacobson_index(alg)
+    k_i = _solvability_index_of(alg, jacobson_ideal(alg))
+    n_i = _solvability_index_of(alg, nilradical(alg))
+
+    def class_of(v):
+        if v == r_j == k_i + 1 == n_i + 1:
+            return "C1"
+        if v == r_j == k_i + 1 == n_i:
+            return "C2"
+        if v + 1 == r_j == k_i + 1 == n_i + 1:
+            return "C3"
+        return None
+
+    tags = {class_of(v) for v in r_s.values()}
+    if len(tags) == 1 and None not in tags:
+        return tags.pop()
+    return "Undetermined"
+
+
+def test_index_class_equals_the_jacobson_ideal_formula():
+    algebras = suite_corpus() + list(random_semidirect_products(25, 20260810))
+    algebras += [("ut(%d)" % n, corpus("ut", n)) for n in range(2, 6)]
+    algebras.append(("zero", LieAlgebra(0, [], [])))
+    for name, alg in algebras:
+        assert index_class(alg)[0] == jacobson_ideal_index_class(alg), name
+    # r_J = 0 on the zero algebra, not i_s(K_L) + 1
+    assert index_class(LieAlgebra(0, [], [])) == (
+        "Undetermined", (IndexEstimate.exactly(0), 0))
 
 
 def test_largest_abelian_ideal_fixtures():

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from lierad import liealg
+from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.liealg import (
     ContractError,
@@ -27,6 +32,7 @@ from lierad.liealg import (
     nilpotency_index,
     operator_semidirect,
     quotient,
+    restrict_to_subalgebra,
     semidirect_product,
     solvability_index,
     stable_derived_term,
@@ -35,6 +41,7 @@ from lierad.liealg import (
     validate,
 )
 from lierad.linalg import Matrix, Subspace, qq, span_sum
+from lierad.radicals import levi_subalgebra, nilradical, solvable_radical
 
 
 def span(n, *vectors):
@@ -318,3 +325,118 @@ def test_projected_derived_series_matches_quotient_series():
         quotient_terms = list(derived_series(q.quotient).terms)
         for k, term in enumerate(quotient_terms):
             assert pushed[min(k, len(pushed) - 1)] == term, name
+
+
+def test_structure_tensor_of_the_wrong_shape_is_rejected():
+    z = [0, 0]
+    with pytest.raises(ValueError, match="structure tensor is not dim x dim"):
+        LieAlgebra(2, ["a", "b"], [[z, z]])
+    with pytest.raises(ValueError, match="structure tensor is not dim x dim"):
+        LieAlgebra(2, ["a", "b"], [[z], [z, z]])
+    with pytest.raises(ValueError, match="bracket coordinate vector has wrong length"):
+        LieAlgebra(2, ["a", "b"], [[z, [0]], [z, z]])
+
+
+def all_pairs_restriction(alg: LieAlgebra, space: Subspace):
+    """The restriction with every ordered pair bracketed and reduced."""
+    m = space.dim
+    c = [[space.coords_of(bracket(alg, space.basis.row(i), space.basis.row(j)))
+          for j in range(m)] for i in range(m)]
+    return LieAlgebra(m, ["s%d" % i for i in range(m)], c), space.basis
+
+
+def restriction_algebras() -> list:
+    algebras = suite_corpus() + list(random_semidirect_products(25, 20260810))
+    algebras += [("ut(%d)" % n, corpus("ut", n)) for n in range(2, 7)]
+    assert len(algebras) == 46
+    return algebras
+
+
+def test_restriction_equals_the_all_pairs_copy():
+    for name, alg in restriction_algebras():
+        spaces = [solvable_radical(alg), nilradical(alg),
+                  levi_subalgebra(alg).levi]
+        spaces += derived_series(alg).terms
+        for space in spaces:
+            sub, basis = restrict_to_subalgebra(alg, space)
+            ref, ref_basis = all_pairs_restriction(alg, space)
+            assert sub.dim == ref.dim and sub.c == ref.c, name
+            assert basis == ref_basis, name
+
+
+def test_restricting_to_the_full_space_returns_the_algebra():
+    for name, alg in suite_corpus():
+        sub, basis = restrict_to_subalgebra(alg, alg.full_space())
+        assert sub is alg, name
+        assert basis == Matrix.identity(alg.dim), name
+
+
+def test_restriction_requires_a_subalgebra():
+    # span(x, y) in heis3 misses [x, y] = z
+    with pytest.raises(ContractError, match="restriction requires a subalgebra"):
+        restrict_to_subalgebra(corpus("heis3"), span(3, E1, E2))
+    # a line has no pair to bracket, but still needs the right ambient space
+    line = span(2, (1, 0))
+    with pytest.raises(ValueError, match="does not match algebra dimension"):
+        restrict_to_subalgebra(corpus("heis3"), line)
+    with pytest.raises(ValueError, match="does not match algebra dimension"):
+        bracket_spaces(corpus("heis3"), line, line)
+
+
+def random_subspace(rng: random.Random, n: int) -> Subspace:
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+    d = rng.randint(0, n)
+    return Subspace.span(n, [[entry() for _ in range(n)] for _ in range(d)])
+
+
+def all_pairs_bracket_space(alg: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
+    return Subspace.span(alg.dim, [bracket(alg, x, y)
+                                   for x in u.vectors() for y in v.vectors()])
+
+
+def test_bracket_spaces_equals_the_all_pairs_span():
+    rng = random.Random(8)
+    algebras = suite_corpus() + list(random_semidirect_products(6, 20260810))
+    algebras.append(("ut(4)", corpus("ut", 4)))
+    for name, alg in algebras:
+        full = alg.full_space()
+        assert (bracket_spaces(alg, full, full)
+                == all_pairs_bracket_space(alg, full, full)), name
+        for _ in range(4):
+            u = random_subspace(rng, alg.dim)
+            v = random_subspace(rng, alg.dim)
+            # an equal subspace from other generators, not the same object
+            u2 = Subspace.span(alg.dim, [[2 * x for x in vec]
+                                         for vec in reversed(u.vectors())])
+            assert u2 == u and u2 is not u
+            for x, y in ((u, u), (u, u2), (u, v), (v, u), (full, u)):
+                assert (bracket_spaces(alg, x, y)
+                        == all_pairs_bracket_space(alg, x, y)), name
+
+
+def test_each_pair_is_bracketed_once(monkeypatch):
+    calls = []
+
+    def counting_bracket(algebra, u, v):
+        calls.append((u, v))
+        return bracket(algebra, u, v)
+
+    alg = corpus("ut", 4)
+    nil = nilradical(alg)
+    m = nil.dim
+    monkeypatch.setattr(liealg, "bracket", counting_bracket)
+    bracket_spaces(alg, nil, nil)
+    assert len(calls) == m * (m - 1) // 2
+    del calls[:]
+    bracket_spaces(alg, nil, alg.full_space())
+    assert len(calls) == m * alg.dim
+    del calls[:]
+    restrict_to_subalgebra(alg, nil)
+    assert len(calls) == m * (m - 1) // 2
+    del calls[:]
+    restrict_to_subalgebra(alg, alg.full_space())
+    assert calls == []
