@@ -23,6 +23,7 @@ from .linalg import (
     nullspace_sparse,
     qq,
     rank,
+    rref,
     solve,
     span_sum,
 )
@@ -316,30 +317,37 @@ def derivation_algebra(algebra: LieAlgebra) -> Subspace:
     """All derivations, as a subspace of operator space Q^(dim*dim).
 
     Operators are flattened row-major; the Leibniz rule on every basis pair
-    is one block of linear conditions on the unknown matrix.
+    is one block of linear conditions on the unknown matrix.  The rows are
+    built from the supports of the tensor: per (a, k), the nonzero
+    c[m][a][k] and the nonzero c[a][m][k] over m.  The two tables are kept
+    apart, so antisymmetry is not assumed.
     """
     n = algebra.dim
     if n == 0:
         return Subspace.zero(0)
-    rows = []
     c = algebra.c
-    for i in range(n):
+    indices = range(n)
+    # left[a][k]: the (m, c[m][a][k]); right[a][k]: the (m, c[a][m][k])
+    left = [[[(m, c[m][a][k]) for m in indices if c[m][a][k]] for k in indices]
+            for a in indices]
+    right = [[[(m, ca[m][k]) for m in indices if ca[m][k]] for k in indices]
+             for ca in c]
+    rows = []
+    for i in indices:
+        right_i = right[i]
         for j in range(i + 1, n):
+            bracket_support = [(m, x) for m, x in enumerate(c[i][j]) if x]
+            left_j = left[j]
             # D([bi,bj]) - [D bi, bj] - [bi, D bj] = 0, one row per output k
-            for k in range(n):
-                row: dict = {}
+            for k in indices:
                 # D([bi,bj])_k = sum_m c[i][j][m] * D[k][m]
-                for m in range(n):
-                    if c[i][j][m] != 0:
-                        row[k * n + m] = row.get(k * n + m, Q0) + c[i][j][m]
+                row = {k * n + m: x for m, x in bracket_support}
                 # [D bi, bj]_k = sum_m D[m][i] * c[m][j][k]
-                for m in range(n):
-                    if c[m][j][k] != 0:
-                        row[m * n + i] = row.get(m * n + i, Q0) - c[m][j][k]
+                for m, x in left_j[k]:
+                    row[m * n + i] = row.get(m * n + i, Q0) - x
                 # [bi, D bj]_k = sum_m D[m][j] * c[i][m][k]
-                for m in range(n):
-                    if c[i][m][k] != 0:
-                        row[m * n + j] = row.get(m * n + j, Q0) - c[i][m][k]
+                for m, x in right_i[k]:
+                    row[m * n + j] = row.get(m * n + j, Q0) - x
                 if row:
                     rows.append(row)
     if not rows:
@@ -348,20 +356,58 @@ def derivation_algebra(algebra: LieAlgebra) -> Subspace:
     return Subspace.span(n * n, ker.data)
 
 
+def _zero_or_full(algebra: LieAlgebra, space: Subspace) -> bool:
+    """Whether a subspace of L is 0 or L itself."""
+    if space.ambient_dim != algebra.dim:
+        raise ValueError("vector length does not match algebra dimension")
+    return space.is_zero() or space.is_full()
+
+
 def is_subalgebra(algebra: LieAlgebra, space: Subspace) -> bool:
+    """Whether [S, S] lies in S; 0 and L are answered without bracketing."""
+    if _zero_or_full(algebra, space):
+        return True
     return space.contains(bracket_spaces(algebra, space, space))
 
 
 def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
+    """Whether [L, I] lies in I; 0 and L are answered without bracketing."""
+    if _zero_or_full(algebra, space):
+        return True
     return space.contains(bracket_spaces(algebra, algebra.full_space(), space))
 
 
+def outer_derivations(algebra: LieAlgebra) -> tuple:
+    """Derivations that span Der(L) modulo ad(L), flattened row-major.
+
+    ad(b_i) lies in Der(L) and has c[i][j][k] at position k*n + j.  Each
+    canonical basis row of Der(L) is 1 at its own pivot and 0 at the other
+    pivots, so the coordinates of ad(b_i) in that basis are its entries at
+    the pivots.  The basis rows at the non-pivot columns of the rref of
+    these n coordinate rows complete ad(L) to Der(L); there are
+    dim Der(L) - (n - dim Z(L)) of them.
+    """
+    ders = derivation_algebra(algebra)
+    n = algebra.dim
+    coords = Matrix([[ci[p % n][p // n] for p in ders.pivots] for ci in algebra.c],
+                    cols=ders.dim)
+    inner = set(rref(coords)[1])
+    return tuple(v for r, v in enumerate(ders.vectors()) if r not in inner)
+
+
 def is_characteristic(algebra: LieAlgebra, ideal: Subspace) -> bool:
-    """True iff the ideal is invariant under every derivation."""
+    """True iff the ideal is invariant under every derivation.
+
+    An ideal is invariant under ad(L), and invariance is linear in the
+    derivation, so only ``outer_derivations`` are applied; 0 and L are
+    characteristic without computing Der(L).
+    """
+    if _zero_or_full(algebra, ideal):
+        return True
     if not is_ideal(algebra, ideal):
         raise ContractError("is_characteristic requires an ideal")
     n = algebra.dim
-    for flat in derivation_algebra(algebra).vectors():
+    for flat in outer_derivations(algebra):
         op = matrix_from_flat(flat, n, n)
         for v in ideal.vectors():
             if not ideal.contains_vector(op.apply(v)):
@@ -370,7 +416,12 @@ def is_characteristic(algebra: LieAlgebra, ideal: Subspace) -> bool:
 
 
 def quotient(algebra: LieAlgebra, ideal: Subspace) -> QuotientData:
-    """Quotient by an ideal; basis = complement of the ideal's pivot columns."""
+    """Quotient by an ideal; basis = complement of the ideal's pivot columns.
+
+    Each basis vector is projected once.  The tensor is assumed
+    antisymmetric (as in ``restrict_to_subalgebra``): only the pairs i < j
+    are projected, c[j][i] is their negation and the diagonal is zero.
+    """
     if not is_ideal(algebra, ideal):
         raise ContractError("quotient requires an ideal")
     n = algebra.dim
@@ -384,15 +435,18 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> QuotientData:
         v = ideal.reduce(vec)
         return tuple(v[j] for j in free)
 
-    projection = Matrix([
-        [project(algebra.basis_vector(i))[k] for i in range(n)] for k in range(m)
-    ]) if m else Matrix.zeros(0, n)
-    c = [[None] * m for _ in range(m)]
+    images = [project(algebra.basis_vector(i)) for i in range(n)]
+    projection = Matrix([[img[k] for img in images] for k in range(m)]) \
+        if m else Matrix.zeros(0, n)
+    zero = (Q0,) * m
+    c = [[zero] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
-            br = bracket(algebra, algebra.basis_vector(free[i]),
-                         algebra.basis_vector(free[j]))
-            c[i][j] = project(br)
+        # [b_free[i], b_free[j]] is read off the tensor
+        ci = algebra.c[free[i]]
+        for j in range(i + 1, m):
+            coords = project(ci[free[j]])
+            c[i][j] = coords
+            c[j][i] = tuple(-x for x in coords)
     labels = [algebra.labels[j] + "~" for j in free]
     return QuotientData(LieAlgebra(m, labels, c), projection, section)
 

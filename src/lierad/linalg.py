@@ -361,11 +361,12 @@ def nullspace_sparse(rows: Iterable[dict], ncols: int) -> Matrix:
 
     Same result as ``nullspace_matrix`` on the dense system; intended for the
     large, very sparse systems (derivation and centroid conditions) where
-    dense elimination is wasteful.
+    dense elimination is wasteful.  Rows are eliminated sparsest first
+    (Markowitz, Management Science 3, 1957), a stable sort, so the caller's
+    order only breaks ties; the kernel is canonical either way.
     """
     pivot_rows: dict[int, dict] = {}
-    for raw in rows:
-        row = {j: v for j, v in raw.items() if v}
+    for row in sorted(({j: v for j, v in raw.items() if v} for raw in rows), key=len):
         if not _INTS.issuperset(map(type, row.values())):
             row = dict(zip(row, primitive_part([qq(v) for v in row.values()])))
         while row:

@@ -230,8 +230,8 @@ def _commutant_equations(action: Action) -> list:
 
     T[i][j] is unknown i*n + j; each operator gives one equation per entry
     (i, j), and those with no terms are left out.  The equations come column
-    j by column j, which keeps the elimination's fill-in low on both the ad
-    actions of solvable algebras and scrambled semisimple ones.
+    j by column j; ``nullspace_sparse`` eliminates the sparsest rows first,
+    so this order only breaks ties between rows of equal length.
     """
     n = action.carrier_dim
     ops = [([[(t, r[j]) for t, r in enumerate(op.data) if r[j]] for j in range(n)],

@@ -2,8 +2,10 @@
 
 sympy recomputes rref, kernels, solutions, determinants, inverses and the
 ranks behind ``SpanBuilder`` on seeded random matrices with small, huge and
-non-integral entries; Hypothesis checks that ``qq`` and ``div`` land in the
-scalar domain and that ``rref`` sees only the row space.
+non-integral entries, and the derivation algebra from the dense Leibniz
+system; Hypothesis checks that ``qq`` and ``div`` land in the scalar domain,
+that ``rref`` sees only the row space and that ``nullspace_sparse`` does
+not depend on the order of its rows.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from lierad.acceptance import random_semidirect_products  # noqa: E402
+from lierad.corpus import corpus  # noqa: E402
+from lierad.liealg import derivation_algebra  # noqa: E402
 from lierad.linalg import (  # noqa: E402
     Matrix,
     SpanBuilder,
@@ -233,3 +238,48 @@ def test_rref_sees_only_the_row_space(data):
     assert rref(Matrix(moved)) == (red, pivots)
     assert all(is_normal(x) for row in red.data for x in row)
     assert all(red.entry(r, p) == 1 for r, p in enumerate(pivots))
+
+
+@given(st.data())
+def test_nullspace_sparse_ignores_row_order(data):
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0), small_rationals)
+    rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    order = data.draw(st.permutations(range(nrows)))
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    kernel = nullspace_sparse(sparse, ncols)
+    assert nullspace_sparse([sparse[i] for i in order], ncols) == kernel
+    assert kernel == nullspace_matrix(Matrix(rows))
+
+
+def sympy_derivations(alg):
+    """Der(L) as the sympy nullspace of the dense Leibniz matrix.
+
+    Unknown D[a][b] is column a*n + b; every ordered basis pair (i, j) and
+    output k gives the row of D([bi,bj])_k - [D bi, bj]_k - [bi, D bj]_k.
+    """
+    n = alg.dim
+    c = [[[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+           for x in cij] for cij in ci] for ci in alg.c]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [sympy.Integer(0)] * (n * n)
+                for m in range(n):
+                    row[k * n + m] += c[i][j][m]
+                    row[m * n + i] -= c[m][j][k]
+                    row[m * n + j] -= c[i][m][k]
+                rows.append(row)
+    kernel = sympy.Matrix(rows).nullspace()
+    return Subspace.span(n * n, [[from_sympy(x) for x in v] for v in kernel])
+
+
+def test_derivation_algebra_matches_sympy():
+    algebras = [corpus("sl2"), corpus("heis3"), corpus("ut", 3)]
+    products = dict(random_semidirect_products(12, SEED))
+    algebras += [products[name] for name in
+                 ("line-on-random#1", "sl2-natural#10", "heis3-natural#11")]
+    for alg in algebras:
+        assert derivation_algebra(alg) == sympy_derivations(alg), alg

@@ -31,6 +31,7 @@ from lierad.liealg import (
     lower_central_series,
     nilpotency_index,
     operator_semidirect,
+    outer_derivations,
     quotient,
     restrict_to_subalgebra,
     semidirect_product,
@@ -41,7 +42,9 @@ from lierad.liealg import (
     validate,
 )
 from lierad.linalg import Matrix, Subspace, qq, span_sum
-from lierad.radicals import levi_subalgebra, nilradical, solvable_radical
+from lierad.frattini import frattini_ideal, jacobson_ideal
+from lierad.linalg import matrix_from_flat
+from lierad.radicals import levi_radical, levi_subalgebra, nilradical, solvable_radical
 
 
 def span(n, *vectors):
@@ -440,3 +443,111 @@ def test_each_pair_is_bracketed_once(monkeypatch):
     del calls[:]
     restrict_to_subalgebra(alg, alg.full_space())
     assert calls == []
+
+
+def all_derivations_preserve(alg: LieAlgebra, ideal: Subspace) -> bool:
+    """is_characteristic by applying every basis vector of Der(L)."""
+    for flat in derivation_algebra(alg).vectors():
+        op = matrix_from_flat(flat, alg.dim, alg.dim)
+        if not all(ideal.contains_vector(op.apply(v)) for v in ideal.vectors()):
+            return False
+    return True
+
+
+def audit_ideals(alg: LieAlgebra) -> list:
+    """The ideal closures of the basis vectors and the audited radicals."""
+    ideals = [ideal_closure(alg, Subspace.span(alg.dim, [alg.basis_vector(i)]))
+              for i in range(alg.dim)]
+    ideals += [solvable_radical(alg), nilradical(alg), center(alg),
+               jacobson_ideal(alg), levi_radical(alg)]
+    est = frattini_ideal(alg)
+    if est.exact:
+        ideals.append(est.value)
+    return ideals
+
+
+def test_is_characteristic_matches_the_full_derivation_basis():
+    answers = []
+    for name, alg in suite_corpus() + list(random_semidirect_products(25, 20260810)):
+        for ideal in audit_ideals(alg):
+            got = is_characteristic(alg, ideal)
+            assert got == all_derivations_preserve(alg, ideal), name
+            answers.append(got)
+    assert True in answers and False in answers
+
+
+def test_outer_derivations_complete_the_inner_ones():
+    for name, alg in suite_corpus() + list(random_semidirect_products(25, 20260810)):
+        n = alg.dim
+        ders = derivation_algebra(alg)
+        outer = outer_derivations(alg)
+        inner = [ad_matrix(alg, alg.basis_vector(i)).flatten() for i in range(n)]
+        assert Subspace.span(n * n, inner + list(outer)) == ders, name
+        assert len(outer) == ders.dim - (n - center(alg).dim), name
+
+
+def test_zero_and_the_whole_algebra_skip_the_derivations(monkeypatch):
+    def no_derivations(algebra):
+        raise AssertionError("Der(L) computed for 0 or L")
+
+    def no_brackets(algebra, u, v):
+        raise AssertionError("bracketed for 0 or L")
+
+    monkeypatch.setattr(liealg, "derivation_algebra", no_derivations)
+    monkeypatch.setattr(liealg, "bracket_spaces", no_brackets)
+    for name, alg in suite_corpus():
+        for space in (alg.zero_space(), alg.full_space()):
+            assert is_subalgebra(alg, space), name
+            assert is_ideal(alg, space), name
+            assert is_characteristic(alg, space), name
+    h = corpus("heis3")
+    for check in (is_subalgebra, is_ideal, is_characteristic):
+        for space in (Subspace.zero(2), Subspace.full(4)):
+            with pytest.raises(ValueError, match="does not match algebra dimension"):
+                check(h, space)
+
+
+def all_pairs_quotient(alg: LieAlgebra, ideal: Subspace) -> LieAlgebra:
+    """The quotient with every ordered pair bracketed and projected."""
+    free = [j for j in range(alg.dim) if j not in ideal.pivots]
+
+    def project(vec):
+        v = ideal.reduce(vec)
+        return [v[j] for j in free]
+
+    c = [[project(bracket(alg, alg.basis_vector(i), alg.basis_vector(j)))
+          for j in free] for i in free]
+    return LieAlgebra(len(free), [alg.labels[j] + "~" for j in free], c)
+
+
+def test_quotient_equals_the_all_pairs_copy():
+    for name, alg in restriction_algebras():
+        ideals = [solvable_radical(alg), nilradical(alg), center(alg),
+                  alg.zero_space(), alg.full_space()]
+        ideals += derived_series(alg).terms
+        for ideal in ideals:
+            q = quotient(alg, ideal)
+            ref = all_pairs_quotient(alg, ideal)
+            assert q.quotient.c == ref.c and q.quotient.labels == ref.labels, name
+            for i in range(alg.dim):
+                assert q.projection.column(i) == tuple(
+                    ideal.reduce(alg.basis_vector(i))[j] for j in range(alg.dim)
+                    if j not in ideal.pivots), name
+
+
+def test_quotient_projects_each_pair_once(monkeypatch):
+    alg = corpus("ut", 4)
+    ideal = center(alg)
+    m = alg.dim - ideal.dim
+    calls = []
+    real_reduce = Subspace.reduce
+
+    def counting_reduce(self, vec):
+        calls.append(vec)
+        return real_reduce(self, vec)
+
+    monkeypatch.setattr(liealg, "is_ideal", lambda algebra, space: True)
+    monkeypatch.setattr(Subspace, "reduce", counting_reduce)
+    quotient(alg, ideal)
+    # each basis vector once, then each pair i < j of the quotient basis
+    assert len(calls) == alg.dim + m * (m - 1) // 2
