@@ -9,9 +9,9 @@ invented exact answer.
 The Frattini-free decision reduces the C + S + J structure theorem to four
 machine-checkable conditions: abelian nilradical, a subalgebra complement,
 reductivity of the complement, and complete reducibility of its action on
-the nilradical.  Subsimple classification certifies Simple / ClassI / ClassII
-tags with witnesses; ClassI isomorphism is only claimed outright when an
-explicit witness verifies, otherwise invariant screening flags the result
+the nilradical.  Subsimple tags come with witnesses; ClassII is read off
+that C + S + J decomposition, and ClassI isomorphism is only claimed outright
+when an explicit witness verifies, else invariant screening flags the result
 as unverified.
 """
 
@@ -49,6 +49,7 @@ from .linalg import (
     Matrix,
     Q1,
     Subspace,
+    complement_codim,
     determinant,
     div,
     matrix_from_flat,
@@ -61,9 +62,9 @@ from .modules import (
     Action,
     commutant,
     decompose_module,
-    find_proper_submodule,
     is_completely_reducible,
     minimal_polynomial,
+    probe_matrices,
     restricted_ad_action,
     split_over_abelian_ideal,
 )
@@ -181,14 +182,7 @@ def _poly_power_kernel(p, mult: int, m: Matrix) -> Subspace:
 def _find_ideal_split(algebra: LieAlgebra) -> Optional[list]:
     n = algebra.dim
     cent = centroid(algebra)
-    mats = [matrix_from_flat(v, n, n) for v in cent.vectors()]
-    probes = list(mats)
-    limit = min(len(mats), 10)
-    for i in range(limit):
-        for j in range(i + 1, limit):
-            probes.append(mats[i].add(mats[j]))
-            probes.append(mats[i].sub(mats[j]))
-    for probe in probes:
+    for probe in probe_matrices([matrix_from_flat(v, n, n) for v in cent.vectors()]):
         minpoly = minimal_polynomial(probe)
         _, factors = factor_rational_poly(minpoly)
         groups: dict = {}
@@ -414,7 +408,12 @@ def _killing_discriminants_compatible(a: LieAlgebra, b: LieAlgebra) -> bool:
 
 def classify_subsimple(algebra: LieAlgebra,
                        iso_witness: Optional[Matrix] = None) -> SubsimpleClass:
-    """OneDim / Simple / ClassI / ClassII / NotSubsimple with witnesses."""
+    """OneDim / Simple / ClassI / ClassII / NotSubsimple with witnesses.
+
+    ClassII iff L is Frattini-free with J one summand and C_L(J) = J; the
+    witness is (C + S, J).  A probe that misses a submodule of a
+    non-semisimple action on the nilradical thus gives NotSubsimple.
+    """
     from .radicals import decompose_semisimple
     if algebra.dim == 1:
         return SubsimpleClass("OneDim")
@@ -434,18 +433,13 @@ def classify_subsimple(algebra: LieAlgebra,
             return SubsimpleClass("ClassI", witness=(first, second, None),
                                   unverified=True)
         return SubsimpleClass("NotSubsimple")
-    x = nilradical(algebra)
-    if not bracket_spaces(algebra, x, x).is_zero():
+    free = is_frattini_free(algebra)
+    if not free or len(free.decomposition.J_summands) != 1:
         return SubsimpleClass("NotSubsimple")
-    if centralizer(algebra, x) != x:
+    d = free.decomposition
+    if centralizer(algebra, d.J) != d.J:
         return SubsimpleClass("NotSubsimple")
-    complement = split_over_abelian_ideal(algebra, x)
-    if complement is None:
-        return SubsimpleClass("NotSubsimple")
-    action = restricted_ad_action(algebra, complement.vectors(), x)
-    if find_proper_submodule(action) is not None:
-        return SubsimpleClass("NotSubsimple")
-    return SubsimpleClass("ClassII", witness=(complement, x))
+    return SubsimpleClass("ClassII", witness=(span_sum(d.C, d.S), d.J))
 
 
 def _verify_iso_witness(alg1: LieAlgebra, alg2: LieAlgebra, witness: Matrix):
@@ -500,13 +494,9 @@ def subdirect_components(algebra: LieAlgebra) -> tuple:
     central = span_intersect(c_part, centralizer(algebra, j_part))
     if not central.is_zero():
         # extend the inert central part to a basis of C; the extension acts
-        acting = algebra.zero_space()
-        grown = central
-        for vec in c_part.vectors():
-            if not grown.contains_vector(vec):
-                acting = span_sum(acting, Subspace.span(algebra.dim, [vec]))
-                grown = span_sum(grown, Subspace.span(algebra.dim, [vec]))
-        base = span_sum(span_sum(s_part, j_part), acting)
+        acting, _ = complement_codim(c_part, central)
+        base = span_sum(span_sum(s_part, j_part),
+                        Subspace.span(algebra.dim, acting.data))
         lines = central.vectors()
         for i, _ in enumerate(lines):
             kernel = base

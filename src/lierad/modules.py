@@ -256,27 +256,31 @@ def commutant(action: Action) -> Subspace:
     return Subspace.span(nn, nullspace_sparse(_commutant_equations(action), nn).data)
 
 
+def probe_matrices(mats: Sequence[Matrix]) -> list:
+    """The matrices, then a + b and a - b for each pair among the first 8."""
+    probes = list(mats)
+    limit = min(len(mats), 8)
+    for i in range(limit):
+        for j in range(i + 1, limit):
+            probes.append(mats[i].add(mats[j]))
+            probes.append(mats[i].sub(mats[j]))
+    return probes
+
+
 def find_proper_submodule(action: Action) -> Optional[Subspace]:
     """A proper nonzero invariant subspace, or None when none is found.
 
     None is certified when the envelope has dimension n^2: it is then all of
     M_n(Q), which maps any nonzero vector to any vector, so the action is
     irreducible (Burnside).  Otherwise None is a probe outcome.  Probes:
-    envelope basis elements and small pairwise combinations (minimal
-    polynomial kernels, spun), plus the spin of each carrier basis vector.
+    ``probe_matrices`` of the envelope basis (minimal polynomial kernels,
+    spun), plus the spin of each carrier basis vector.
     Any returned subspace is verified invariant and proper.
     """
     n = action.carrier_dim
     envelope = associative_envelope(action)
     if len(envelope.basis) == n * n:
         return None
-    probes: list[Matrix] = list(envelope.basis)
-    limit = min(len(envelope.basis), 8)
-    for i in range(limit):
-        for j in range(i + 1, limit):
-            a, b = envelope.basis[i], envelope.basis[j]
-            probes.append(a.add(b))
-            probes.append(a.sub(b))
     candidates = []
 
     def consider(space: Subspace):
@@ -285,7 +289,7 @@ def find_proper_submodule(action: Action) -> Optional[Subspace]:
                 raise AssertionError("probe produced a non-invariant subspace")
             candidates.append(space)
 
-    for probe in probes:
+    for probe in probe_matrices(envelope.basis):
         minpoly = minimal_polynomial(probe)
         _, factors = factor_rational_poly(minpoly)
         if len(factors) <= 1 and len(minpoly) - 1 <= 1:

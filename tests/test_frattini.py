@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import lierad.frattini as frattini_module
+import lierad.modules as modules_module
 from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.frattini import (
@@ -33,14 +37,22 @@ from lierad.liealg import (
     LieAlgebra,
     bracket_spaces,
     center,
+    centralizer,
+    change_basis,
     derived_series,
     direct_product,
     ideal_closure,
     is_characteristic,
     is_ideal,
+    is_killing_nondegenerate,
     is_solvable,
 )
-from lierad.linalg import Matrix, Subspace, nullspace_sparse, qq, span_sum
+from lierad.linalg import Matrix, Subspace, nullspace_sparse, qq, rank, span_sum
+from lierad.modules import (
+    find_proper_submodule,
+    restricted_ad_action,
+    split_over_abelian_ideal,
+)
 from lierad.radicals import (
     _solvability_index_of,
     levi_radical,
@@ -172,6 +184,90 @@ def test_class_two_witness_contents():
     complement, x_part = cls.witness
     assert complement == span(2, (1, 0))
     assert x_part == span(2, (0, 1))
+
+
+def class_two_by_probe(alg):
+    """The ClassII derivation that probes the action itself: an abelian,
+    self-centralizing nilradical X with a subalgebra complement M whose
+    action on X a probe search finds irreducible.  Returns (M, X) or None."""
+    x = nilradical(alg)
+    if not bracket_spaces(alg, x, x).is_zero() or centralizer(alg, x) != x:
+        return None
+    complement = split_over_abelian_ideal(alg, x)
+    if complement is None:
+        return None
+    action = restricted_ad_action(alg, complement.vectors(), x)
+    if find_proper_submodule(action) is not None:
+        return None
+    return complement, x
+
+
+def test_class_two_agrees_with_probing_the_action():
+    algebras = suite_corpus() + list(random_semidirect_products(25, 20260810))
+    quotients = []
+    for name, alg in algebras:
+        if is_frattini_free(alg):
+            quotients += [("%s/%d" % (name, i), comp.quotient)
+                          for i, comp in enumerate(subdirect_components(alg))]
+    tags = set()
+    for name, alg in algebras + quotients:
+        if alg.dim == 1 or is_killing_nondegenerate(alg):
+            continue
+        cls = classify_subsimple(alg)
+        tags.add(cls.tag)
+        expected = class_two_by_probe(alg)
+        assert cls.tag == ("NotSubsimple" if expected is None else "ClassII"), name
+        assert cls.witness == expected, name
+    assert tags == {"ClassII", "NotSubsimple"}
+
+
+def test_class_two_reads_the_cached_decomposition(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for mod in (frattini_module, modules_module):
+        for name in ("find_proper_submodule", "split_over_abelian_ideal"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for expr in ("aff1", "sl2_v2", "d1_v2", "heis3", "ut(2)"):
+        alg = corpus_expr(expr)
+        is_frattini_free(alg)
+        calls.clear()
+        classify_subsimple(alg)
+        assert calls == [], expr
+    # the counters do fire when the decision is not cached
+    is_frattini_free.cache_clear()
+    classify_subsimple(corpus("aff1"))
+    assert "split_over_abelian_ideal" in calls
+
+
+def scrambled(alg, seed):
+    rng = random.Random(seed)
+    while True:
+        t = Matrix([[rng.randint(-2, 2) for _ in range(alg.dim)]
+                    for _ in range(alg.dim)])
+        if rank(t) == alg.dim:
+            return change_basis(alg, t)
+
+
+def test_direct_summands_survive_scrambling_past_the_probe_limit():
+    # centroids of dimension 10, 13 and 17, so probe pairs stop at the first 8
+    for expr, cent_dim, count in (("direct(sl2,abelian(3))", 10, 4),
+                                  ("direct(heis3,abelian(2))", 13, 3),
+                                  ("direct(sl2,abelian(4))", 17, 5)):
+        alg = corpus_expr(expr)
+        assert len(direct_summands(alg)) == count, expr
+        for seed in (1, 2):
+            copy = scrambled(alg, seed)
+            assert centroid(copy).dim == cent_dim, expr
+            parts = direct_summands(copy)
+            assert len(parts) == count, (expr, seed)
+            assert all(is_ideal(copy, p) for p in parts), (expr, seed)
 
 
 def test_subdirect_components_d1_v2():

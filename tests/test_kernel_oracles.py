@@ -2,10 +2,12 @@
 
 sympy recomputes rref, kernels, solutions, determinants, inverses and the
 ranks behind ``SpanBuilder`` on seeded random matrices with small, huge and
-non-integral entries, and the derivation algebra from the dense Leibniz
-system; Hypothesis checks that ``qq`` and ``div`` land in the scalar domain,
-that ``rref`` sees only the row space and that ``nullspace_sparse`` does
-not depend on the order of its rows.
+non-integral entries, the derivation algebra from the dense Leibniz
+system, the Killing form from traces of ad products, factorizations, and
+the defining properties of minimal polynomials; Hypothesis checks that
+``qq`` and ``div`` land in the scalar domain, that ``rref`` sees only the
+row space and that ``nullspace_sparse`` does not depend on the order of its
+rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from lierad.acceptance import random_semidirect_products  # noqa: E402
 from lierad.corpus import corpus  # noqa: E402
-from lierad.liealg import derivation_algebra  # noqa: E402
+from lierad.liealg import derivation_algebra, killing_form  # noqa: E402
 from lierad.linalg import (  # noqa: E402
     Matrix,
     SpanBuilder,
@@ -35,6 +37,8 @@ from lierad.linalg import (  # noqa: E402
     rref,
     solve,
 )
+from lierad.modules import minimal_polynomial  # noqa: E402
+from lierad.polys import factor_rational_poly  # noqa: E402
 
 SEED = 20260810
 
@@ -71,9 +75,12 @@ def cases(offset: int, count: int = 25):
         yield rng, make(rng, rows, cols)
 
 
+def sym(x):
+    return sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+
+
 def to_sympy(rows: list):
-    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
-                          for x in row] for row in rows])
+    return sympy.Matrix([[sym(x) for x in row] for row in rows])
 
 
 def from_sympy(x) -> Fraction:
@@ -260,8 +267,7 @@ def sympy_derivations(alg):
     output k gives the row of D([bi,bj])_k - [D bi, bj]_k - [bi, D bj]_k.
     """
     n = alg.dim
-    c = [[[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
-           for x in cij] for cij in ci] for ci in alg.c]
+    c = [[[sym(x) for x in cij] for cij in ci] for ci in alg.c]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -283,3 +289,108 @@ def test_derivation_algebra_matches_sympy():
                  ("line-on-random#1", "sl2-natural#10", "heis3-natural#11")]
     for alg in algebras:
         assert derivation_algebra(alg) == sympy_derivations(alg), alg
+
+
+def sympy_ads(alg):
+    """ad(b_i) as sympy matrices: c[i][j][k] in row k, column j."""
+    n = alg.dim
+    return [sympy.Matrix(n, n, lambda k, j: sym(alg.c[i][j][k])) for i in range(n)]
+
+
+def test_killing_form_matches_sympy():
+    algebras = [corpus("sl2"), corpus("heis3"), corpus("ut", 3), corpus("sl2sl2")]
+    algebras += [alg for _, alg in random_semidirect_products(12, SEED)]
+    for alg in algebras:
+        ads = sympy_ads(alg)
+        expected = [[from_sympy((a * b).trace()) for b in ads] for a in ads]
+        assert killing_form(alg) == Matrix(expected, cols=alg.dim), alg
+
+
+x = sympy.Symbol("x")
+
+
+def to_sympy_poly(coeffs):
+    """A constant-first coefficient list as a sympy polynomial in x."""
+    return sympy.Poly([sym(c) for c in reversed(coeffs)], x)
+
+
+def monic_coeffs(poly) -> list:
+    """Constant-first coefficients of the monic associate of a sympy Poly."""
+    lead = poly.LC()
+    return [from_sympy(c / lead) for c in reversed(poly.all_coeffs())]
+
+
+def random_irreducible(rng: random.Random):
+    while True:
+        degree = rng.choice((1, 1, 2, 2, 3))
+        coeffs = [rng.randint(-4, 4) for _ in range(degree)] + [rng.randint(1, 3)]
+        poly = to_sympy_poly(coeffs)
+        if poly.is_irreducible:
+            return poly
+
+
+def test_factor_rational_poly_matches_sympy():
+    rng = random.Random(SEED + 15)
+    for _ in range(40):
+        # a total degree of at most 6 keeps the Kronecker search small
+        parts = [random_irreducible(rng) for _ in range(rng.randint(1, 4))]
+        if sum(p.degree() for p in parts) > 6:
+            continue
+        lead = sympy.Rational(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        product = lead * sympy.prod(parts)
+        coeffs = [from_sympy(c) for c in reversed(product.all_coeffs())]
+        got_lead, got = factor_rational_poly(coeffs)
+        _, ref = sympy.factor_list(product.as_expr(), x)
+        expected = sorted(monic_coeffs(sympy.Poly(f, x)) for f, mult in ref
+                          for _ in range(mult))
+        assert got_lead == from_sympy(product.LC())
+        assert sorted(got) == expected, product
+
+
+def random_square(rng: random.Random, n: int):
+    """Random rows, or a conjugated block matrix with repeated eigenvalues."""
+    if rng.random() < 0.5:
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    a = sympy.zeros(n, n)
+    value = rng.randint(-2, 2)
+    for i in range(n):
+        a[i, i] = value if rng.random() < 0.6 else rng.randint(-2, 2)
+        if i + 1 < n and rng.random() < 0.5:
+            a[i, i + 1] = 1
+    while True:
+        t = sympy.Matrix(n, n, lambda i, j: rng.randint(-2, 2))
+        if t.det() != 0:
+            break
+    return (t * a * t.inv()).tolist()
+
+
+def poly_at(coeffs, m):
+    """A constant-first sympy coefficient list evaluated at a sympy matrix."""
+    acc = sympy.zeros(m.rows, m.cols)
+    for c in reversed(coeffs):
+        acc = acc * m + c * sympy.eye(m.rows)
+    return acc
+
+
+def test_minimal_polynomial_matches_its_definition():
+    rng = random.Random(SEED + 16)
+    for _ in range(30):
+        rows = random_square(rng, rng.randint(1, 4))
+        m = to_sympy(rows)
+        got = minimal_polynomial(Matrix(rows))
+        assert got[-1] == 1
+        poly = to_sympy_poly(got)
+        # it annihilates M
+        assert poly_at([sym(c) for c in got], m).is_zero_matrix, rows
+        # it divides the characteristic polynomial, with the same factors
+        charpoly = m.charpoly(x).as_expr()
+        assert sympy.rem(charpoly, poly.as_expr(), x) == 0, rows
+        factors = [f for f, _ in sympy.factor_list(poly.as_expr(), x)[1]]
+        assert {sympy.Poly(f, x).monic() for f in factors} == {
+            sympy.Poly(f, x).monic()
+            for f, _ in sympy.factor_list(charpoly, x)[1]}, rows
+        # no proper divisor annihilates M: it suffices to drop one
+        # irreducible factor at a time
+        for f in factors:
+            smaller = sympy.Poly(sympy.quo(poly.as_expr(), f, x), x)
+            assert not poly_at(list(reversed(smaller.all_coeffs())), m).is_zero_matrix, rows

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import lierad.frattini as frattini_module
+import lierad.modules as modules_module
 from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus
 from lierad.liealg import ContractError, bracket_spaces
@@ -27,6 +29,7 @@ from lierad.modules import (
     find_proper_submodule,
     is_completely_reducible,
     minimal_polynomial,
+    probe_matrices,
     restricted_ad_action,
     spin,
     split_over_abelian_ideal,
@@ -239,6 +242,32 @@ def test_commutant_of_a_repeated_block_is_a_matrix_algebra():
     op = Matrix([row + [0, 0] for row in r] + [[0, 0] + row for row in r])
     assert commutant(Action(4, (op,))).dim == 8
     assert commutant(Action(3, ())) == Subspace.full(9)
+
+
+def test_probe_matrices_pairs_the_first_eight():
+    mats = [diag(k, 1 - k) for k in range(10)]
+    probes = probe_matrices(mats)
+    assert len(probes) == 10 + 2 * 28
+    assert probes[:12] == mats + [mats[0].add(mats[1]), mats[0].sub(mats[1])]
+    assert probes[-2:] == [mats[6].add(mats[7]), mats[6].sub(mats[7])]
+    assert probe_matrices(mats[:2]) == mats[:2] + probes[10:12]
+
+
+def test_both_splitters_draw_from_probe_matrices(monkeypatch):
+    seen = []
+
+    def spy(mats):
+        seen.append(len(mats))
+        return probe_matrices(mats)
+
+    monkeypatch.setattr(modules_module, "probe_matrices", spy)
+    monkeypatch.setattr(frattini_module, "probe_matrices", spy)
+    assert find_proper_submodule(Action(2, (diag(1, 2),))) == span(2, (1, 0))
+    assert seen == [2]
+    frattini_module.direct_summands.cache_clear()
+    assert len(frattini_module.direct_summands(corpus("abelian", 2))) == 2
+    # the centroid of abelian(2) is M_2(Q)
+    assert seen[1] == 4
 
 
 def test_find_proper_submodule_zero_action():
