@@ -49,18 +49,12 @@ class SubspaceFamily:
 
 def family_meet(family: SubspaceFamily) -> Subspace:
     """Intersection of all members; the full space on the empty family."""
-    result = Subspace.full(family.ambient_dim)
-    for m in family:
-        result = span_intersect(result, m)
-    return result
+    return span_intersect(Subspace.full(family.ambient_dim), *family)
 
 
 def family_join(family: SubspaceFamily) -> Subspace:
     """Span of all members; zero on the empty family."""
-    result = Subspace.zero(family.ambient_dim)
-    for m in family:
-        result = span_sum(result, m)
-    return result
+    return span_sum(Subspace.zero(family.ambient_dim), *family)
 
 
 def _check_bound(family: SubspaceFamily, bound: int):
@@ -77,11 +71,8 @@ def p_completion(family: SubspaceFamily,
     members = list(family.members)
     out = [family_join(family)]
     for size in range(1, len(members) + 1):
-        for combo in combinations(members, size):
-            meet = combo[0]
-            for m in combo[1:]:
-                meet = span_intersect(meet, m)
-            out.append(meet)
+        out.extend(span_intersect(*combo)
+                   for combo in combinations(members, size))
     return SubspaceFamily.of(family.ambient_dim, out)
 
 
@@ -92,11 +83,7 @@ def s_completion(family: SubspaceFamily,
     members = list(family.members)
     out = [family_meet(family)]
     for size in range(1, len(members) + 1):
-        for combo in combinations(members, size):
-            join = combo[0]
-            for m in combo[1:]:
-                join = span_sum(join, m)
-            out.append(join)
+        out.extend(span_sum(*combo) for combo in combinations(members, size))
     return SubspaceFamily.of(family.ambient_dim, out)
 
 
@@ -176,10 +163,7 @@ def delta(family: SubspaceFamily) -> Subspace:
     top = family_join(family)
     if top not in family:
         raise ValueError("the family join is not a member")
-    reachable = [y for y in family if top.contains(y)]
-    bottom = top
-    for y in reachable:
-        bottom = span_intersect(bottom, y)
+    bottom = span_intersect(top, *[y for y in family if top.contains(y)])
     forward = maximal_lower_finite_gap_chain(family, top)
     backward = maximal_lower_finite_gap_chain(family, top, reverse_tiebreak=True)
     if forward[-1] != bottom or backward[-1] != bottom:

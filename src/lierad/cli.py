@@ -25,7 +25,13 @@ from .formats import (
 )
 from .liealg import LieAlgebra, validate
 from .radicals import REGISTRY, superposition_closure
-from .reports import analyze, report_to_json, report_to_text
+from .reports import (
+    _estimate_record,
+    _index_record,
+    analyze,
+    report_to_json,
+    report_to_text,
+)
 
 
 class UsageError(ValueError):
@@ -95,18 +101,9 @@ def _cmd_radical(args) -> int:
 
 def _cmd_frattini(args) -> int:
     algebra = _resolve_target(args.target)
-    est = fr.frattini_ideal(algebra)
-    idx = fr.frattini_index(algebra)
     payload = {
-        "frattini_ideal": {
-            "kind": "Exact" if est.exact else "Interval",
-            "lower": subspace_to_json(est.lower),
-            "upper": subspace_to_json(est.upper),
-        },
-        "frattini_index": {
-            "kind": "Exact" if idx.exact else "Interval",
-            "low": idx.low, "high": idx.high,
-        },
+        "frattini_ideal": _estimate_record(fr.frattini_ideal(algebra)),
+        "frattini_index": _index_record(fr.frattini_index(algebra)),
         "jacobson_ideal": subspace_to_json(fr.jacobson_ideal(algebra)),
         "jacobson_index": fr.jacobson_index(algebra),
     }

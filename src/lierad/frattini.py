@@ -60,9 +60,9 @@ from .linalg import (
 )
 from .modules import (
     Action,
+    NotCompletelyReducibleError,
     commutant,
     decompose_module,
-    is_completely_reducible,
     minimal_polynomial,
     probe_matrices,
     restricted_ad_action,
@@ -222,11 +222,9 @@ def direct_summands(algebra: LieAlgebra) -> tuple:
 
     parts = sorted(rec(algebra, Matrix.identity(algebra.dim)),
                    key=lambda s: s.sort_key())
-    total = algebra.zero_space()
-    for p in parts:
-        if not span_intersect(total, p).is_zero():
-            raise AssertionError("direct summands are not independent")
-        total = span_sum(total, p)
+    total = span_sum(*parts)
+    if sum(p.dim for p in parts) != total.dim:
+        raise AssertionError("direct summands are not independent")
     if not total.is_full():
         raise AssertionError("direct summands do not span")
     return tuple(parts)
@@ -272,7 +270,9 @@ def is_frattini_free(algebra: LieAlgebra) -> FrattiniFreeResult:
         return FrattiniFreeResult(
             False, failed_condition="complement to the nilradical is not reductive")
     action = restricted_ad_action(algebra, complement.vectors(), nil)
-    if not is_completely_reducible(action):
+    try:
+        j_summands = decompose_module(action)
+    except NotCompletelyReducibleError:
         return FrattiniFreeResult(
             False,
             failed_condition="complement acts non-semisimply on the nilradical")
@@ -280,7 +280,7 @@ def is_frattini_free(algebra: LieAlgebra) -> FrattiniFreeResult:
     s_part = embed_subspace(
         comp_basis,
         bracket_spaces(comp_alg, comp_alg.full_space(), comp_alg.full_space()))
-    summands = tuple(embed_subspace(nil.basis, s) for s in decompose_module(action))
+    summands = tuple(embed_subspace(nil.basis, s) for s in j_summands)
     decomposition = FrattiniFreeDecomposition(C=c_part, S=s_part, J=nil,
                                               J_summands=summands)
     _check_decomposition(algebra, decomposition)
@@ -290,7 +290,7 @@ def is_frattini_free(algebra: LieAlgebra) -> FrattiniFreeResult:
 def _check_decomposition(algebra: LieAlgebra, d: FrattiniFreeDecomposition):
     if d.C.dim + d.S.dim + d.J.dim != algebra.dim:
         raise AssertionError("C + S + J dimensions do not add up")
-    if not span_sum(span_sum(d.C, d.S), d.J).is_full():
+    if not span_sum(d.C, d.S, d.J).is_full():
         raise AssertionError("C + S + J do not span")
     if not is_subalgebra(algebra, d.C) or not bracket_spaces(algebra, d.C, d.C).is_zero():
         raise AssertionError("C is not an abelian subalgebra")
@@ -304,11 +304,10 @@ def _check_decomposition(algebra: LieAlgebra, d: FrattiniFreeDecomposition):
         s_alg, _ = restrict_to_subalgebra(algebra, d.S)
         if not is_killing_nondegenerate(s_alg):
             raise AssertionError("S has a degenerate Killing form")
-    total = algebra.zero_space()
-    for s in d.J_summands:
-        total = span_sum(total, s)
-    if total != d.J:
+    if span_sum(algebra.zero_space(), *d.J_summands) != d.J:
         raise AssertionError("J summands do not sum to J")
+    if sum(s.dim for s in d.J_summands) != d.J.dim:
+        raise AssertionError("J summands are not independent")
 
 
 def frattini_free_decomposition(algebra: LieAlgebra) -> FrattiniFreeDecomposition:
@@ -337,14 +336,13 @@ def frattini_ideal(algebra: LieAlgebra) -> IdealEstimate:
         return IdealEstimate.exactly(algebra.zero_space())
     summands = direct_summands(algebra)
     if len(summands) >= 2:
-        lower = algebra.zero_space()
-        upper = algebra.zero_space()
+        lower, upper = [], []
         for part in summands:
             part_alg, part_basis = restrict_to_subalgebra(algebra, part)
             est = frattini_ideal(part_alg)
-            lower = span_sum(lower, embed_subspace(part_basis, est.lower))
-            upper = span_sum(upper, embed_subspace(part_basis, est.upper))
-        return IdealEstimate(lower, upper)
+            lower.append(embed_subspace(part_basis, est.lower))
+            upper.append(embed_subspace(part_basis, est.upper))
+        return IdealEstimate(span_sum(*lower), span_sum(*upper))
     derived = bracket_spaces(algebra, full, full)
     lower = span_intersect(derived, center(algebra))
     upper = jacobson_ideal(algebra)
@@ -472,44 +470,28 @@ def subdirect_components(algebra: LieAlgebra) -> tuple:
     c_part, s_part, j_part = decomposition.C, decomposition.S, decomposition.J
     reductive = span_sum(c_part, s_part)
     kernels = []
-    for i, summand in enumerate(decomposition.J_summands):
-        others = algebra.zero_space()
-        for j, other in enumerate(decomposition.J_summands):
-            if j != i:
-                others = span_sum(others, other)
+    js = decomposition.J_summands
+    for i, summand in enumerate(js):
         annihilator = span_intersect(reductive, centralizer(algebra, summand))
-        kernels.append(span_sum(others, annihilator))
+        kernels.append(span_sum(*js[:i], *js[i + 1:], annihilator))
     if not s_part.is_zero():
         s_alg, s_basis = restrict_to_subalgebra(algebra, s_part)
         simple_parts = [embed_subspace(s_basis, p)
                         for p in decompose_semisimple(s_alg)]
         for i, part in enumerate(simple_parts):
-            if not bracket_spaces(algebra, part, j_part).is_zero():
-                continue
-            kernel = span_sum(c_part, j_part)
-            for j, other in enumerate(simple_parts):
-                if j != i:
-                    kernel = span_sum(kernel, other)
-            kernels.append(kernel)
+            if bracket_spaces(algebra, part, j_part).is_zero():
+                kernels.append(span_sum(c_part, j_part, *simple_parts[:i],
+                                        *simple_parts[i + 1:]))
     central = span_intersect(c_part, centralizer(algebra, j_part))
     if not central.is_zero():
         # extend the inert central part to a basis of C; the extension acts
         acting, _ = complement_codim(c_part, central)
-        base = span_sum(span_sum(s_part, j_part),
-                        Subspace.span(algebra.dim, acting.data))
         lines = central.vectors()
-        for i, _ in enumerate(lines):
-            kernel = base
-            for j, other_line in enumerate(lines):
-                if j != i:
-                    kernel = span_sum(kernel,
-                                      Subspace.span(algebra.dim, [other_line]))
-            kernels.append(kernel)
+        for i in range(len(lines)):
+            kernels.append(span_sum(s_part, j_part, Subspace.span(
+                algebra.dim, acting.data + lines[:i] + lines[i + 1:])))
     components = tuple(quotient(algebra, k) for k in kernels)
-    meet = algebra.full_space()
-    for k in kernels:
-        meet = span_intersect(meet, k)
-    if not meet.is_zero():
+    if not span_intersect(algebra.full_space(), *kernels).is_zero():
         raise AssertionError("subdirect kernels do not intersect to zero")
     return components
 

@@ -482,15 +482,7 @@ def restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> tuple[LieAlg
 
 def embed_subspace(sub_basis: Matrix, space: Subspace) -> Subspace:
     """Map a subspace in restricted coordinates back into the ambient space."""
-    vecs = []
-    for v in space.vectors():
-        out = [Q0] * sub_basis.cols
-        for coeff, row in zip(v, sub_basis.data):
-            if coeff != 0:
-                for j in range(sub_basis.cols):
-                    out[j] += coeff * row[j]
-        vecs.append(out)
-    return Subspace.span(sub_basis.cols, vecs)
+    return Subspace.span(sub_basis.cols, space.basis.mul(sub_basis).data)
 
 
 def ideal_closure_series(algebra: LieAlgebra, space: Subspace):

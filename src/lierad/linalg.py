@@ -626,34 +626,33 @@ class SpanBuilder:
         return Subspace.span(self.ambient_dim, self.rows)
 
 
-def span_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
+def _common_ambient(spaces: Sequence[Subspace]) -> int:
+    n = spaces[0].ambient_dim
+    if any(s.ambient_dim != n for s in spaces):
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(u.ambient_dim, list(u.vectors()) + list(v.vectors()))
+    return n
 
 
-def span_intersect(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if u.is_zero() or v.is_zero():
-        return Subspace.zero(u.ambient_dim)
-    # x in U∩V  <=>  x = U^T a = V^T b; solve the stacked system for (a; -b).
-    ut = u.basis.transpose()
-    vt = v.basis.transpose()
-    stacked = Matrix([
-        list(ut.row(i)) + list(vt.row(i)) for i in range(u.ambient_dim)
-    ])
-    ker = nullspace_matrix(stacked)
-    vecs = []
-    for krow in ker.data:
-        coeffs = krow[:u.dim]
-        vec = [Q0] * u.ambient_dim
-        for c, brow in zip(coeffs, u.vectors()):
-            if c:
-                for j in range(u.ambient_dim):
-                    vec[j] += c * brow[j]
-        vecs.append(vec)
-    return Subspace.span(u.ambient_dim, vecs)
+def span_sum(*spaces: Subspace) -> Subspace:
+    """Sum of one or more subspaces of the same Q^n, in one elimination."""
+    return Subspace.span(_common_ambient(spaces),
+                         chain.from_iterable(s.vectors() for s in spaces))
+
+
+def span_intersect(*spaces: Subspace) -> Subspace:
+    """Intersection of one or more subspaces of the same Q^n."""
+    n = _common_ambient(spaces)
+    u = spaces[0]
+    for v in spaces[1:]:
+        if u.is_zero() or v.is_zero():
+            return Subspace.zero(n)
+        # x in U∩V  <=>  x = U^T a = V^T b; solve the stacked system for (a; -b)
+        stacked = Matrix([a + b for a, b in zip(u.basis.transpose().data,
+                                                v.basis.transpose().data)])
+        coeffs = Matrix([k[:u.dim] for k in nullspace_matrix(stacked).data],
+                        cols=u.dim)
+        u = Subspace.span(n, coeffs.mul(u.basis).data)
+    return u
 
 
 def complement_codim(z: Subspace, y: Subspace) -> tuple[Matrix, int]:
@@ -662,15 +661,11 @@ def complement_codim(z: Subspace, y: Subspace) -> tuple[Matrix, int]:
     The returned numbers witness the finite-dimensional closed-sum identity
     dim(Z/(Y∩Z)) = dim((Y+Z)/Y).
     """
-    if z.ambient_dim != y.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
     inter = span_intersect(y, z)
-    picked: list = []
-    current = inter
-    for vec in z.vectors():
-        if not current.contains_vector(vec):
-            picked.append(vec)
-            current = span_sum(current, Subspace.span(z.ambient_dim, [vec]))
+    builder = SpanBuilder(z.ambient_dim)
+    for vec in inter.vectors():
+        builder.add(vec)
+    picked = [vec for vec in z.vectors() if builder.add(vec)]
     codim = z.dim - inter.dim
     comp = (Matrix(picked, cols=z.ambient_dim) if picked
             else Matrix.zeros(0, z.ambient_dim))

@@ -10,7 +10,9 @@ A returned submodule is always verified invariant before it is handed back.
 "No proper submodule" is certified when the envelope is all of M_n(Q)
 (Burnside's theorem: then the action is irreducible); otherwise it is a probe
 outcome, only as strong as the deterministic probe set, which suffices for
-split modules with rational eigenvalue separations.
+split modules with rational eigenvalue separations.  The probes are kernels
+of irreducible factors of minimal polynomials; each kernel vector is spun
+once.
 """
 
 from __future__ import annotations
@@ -156,14 +158,12 @@ def trace_radical(envelope: Envelope) -> Subspace:
             gram[j][i] = t
     ker = nullspace_matrix(Matrix(gram))
     radical = Subspace.span(k, ker.data)
-    rad_mats = []
-    for coords in radical.vectors():
-        m = Matrix.zeros(envelope.carrier_dim, envelope.carrier_dim)
-        for c, b in zip(coords, envelope.basis):
-            if c != 0:
-                m = m.add(b.scale(c))
-        rad_mats.append(m)
-    if not _span_is_nilpotent(rad_mats, envelope.carrier_dim):
+    if radical.is_zero():
+        return radical
+    n = envelope.carrier_dim
+    flats = radical.basis.mul(Matrix([b.flatten() for b in envelope.basis]))
+    rad_mats = [matrix_from_flat(row, n, n) for row in flats.data]
+    if not _span_is_nilpotent(rad_mats, n):
         raise AssertionError("trace radical failed its nilpotency certificate")
     return radical
 
@@ -272,37 +272,34 @@ def find_proper_submodule(action: Action) -> Optional[Subspace]:
 
     None is certified when the envelope has dimension n^2: it is then all of
     M_n(Q), which maps any nonzero vector to any vector, so the action is
-    irreducible (Burnside).  Otherwise None is a probe outcome.  Probes:
-    ``probe_matrices`` of the envelope basis (minimal polynomial kernels,
-    spun), plus the spin of each carrier basis vector.
+    irreducible (Burnside).  Otherwise None is a probe outcome.  Probes: for
+    each of the ``probe_matrices`` of the envelope basis and each distinct
+    irreducible factor of its minimal polynomial, the kernel of that factor;
+    each kernel vector is spun once, as is each carrier basis vector.  The
+    answer is the least proper spin by ``sort_key``.
     Any returned subspace is verified invariant and proper.
     """
     n = action.carrier_dim
     envelope = associative_envelope(action)
     if len(envelope.basis) == n * n:
         return None
-    candidates = []
-
-    def consider(space: Subspace):
-        if 0 < space.dim < n:
-            if not _is_invariant(action, space):
-                raise AssertionError("probe produced a non-invariant subspace")
-            candidates.append(space)
-
+    seeds = {}
     for probe in probe_matrices(envelope.basis):
         minpoly = minimal_polynomial(probe)
         _, factors = factor_rational_poly(minpoly)
         if len(factors) <= 1 and len(minpoly) - 1 <= 1:
             continue
-        for f in factors:
+        for f in dict.fromkeys(map(tuple, factors)):
             kernel = nullspace_matrix(_poly_of_matrix(f, probe))
-            if 0 < kernel.rows:
-                consider(spin(action, kernel.data))
-                for vec in kernel.data:
-                    consider(spin(action, [vec]))
-    for k in range(n):
-        seed = tuple(Q1 if t == k else Q0 for t in range(n))
-        consider(spin(action, [seed]))
+            seeds.update(dict.fromkeys(kernel.data))
+    seeds.update(dict.fromkeys(Matrix.identity(n).data))
+    candidates = []
+    for seed in seeds:
+        space = spin(action, [seed])
+        if 0 < space.dim < n:
+            if not _is_invariant(action, space):
+                raise AssertionError("probe produced a non-invariant subspace")
+            candidates.append(space)
     if not candidates:
         return None
     return min(candidates, key=lambda s: s.sort_key())
@@ -345,10 +342,20 @@ def _equivariant_complement(action: Action, sub: Subspace) -> Subspace:
     return complement
 
 
+class NotCompletelyReducibleError(ContractError):
+    """``decompose_module`` was given an action with a nonzero trace radical."""
+
+
 def decompose_module(action: Action) -> tuple:
-    """Split a completely reducible action into irreducible summands."""
+    """Split a completely reducible action into irreducible summands.
+
+    Raises NotCompletelyReducibleError when the action is not completely
+    reducible, so a caller that needs the test and the summands runs the
+    test once.
+    """
     if not is_completely_reducible(action):
-        raise ContractError("decompose_module requires a completely reducible action")
+        raise NotCompletelyReducibleError(
+            "decompose_module requires a completely reducible action")
 
     def rec(act: Action, embedding: Matrix) -> list:
         if act.carrier_dim == 0:

@@ -207,11 +207,10 @@ def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
     if levi.levi.is_zero():
         return algebra.zero_space()
     levi_alg, levi_basis = restrict_to_subalgebra(algebra, levi.levi)
-    total = algebra.zero_space()
-    for comp in decompose_semisimple(levi_alg):
-        embedded = embed_subspace(levi_basis, comp)
-        if bracket_spaces(algebra, embedded, levi.radical).is_zero():
-            total = span_sum(total, embedded)
+    components = [embed_subspace(levi_basis, comp)
+                  for comp in decompose_semisimple(levi_alg)]
+    total = span_sum(algebra.zero_space(), *[
+        c for c in components if bracket_spaces(algebra, c, levi.radical).is_zero()])
     if not total.is_zero():
         if not is_ideal(algebra, total):
             raise AssertionError("semisimple ideal candidate is not an ideal")

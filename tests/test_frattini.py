@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from lierad.frattini import (
     IdealEstimate,
     IndexEstimate,
     WitnessInvalidError,
+    _check_decomposition,
     banach_radical_stubs,
     centroid,
     classify_subsimple,
@@ -46,6 +48,8 @@ from lierad.liealg import (
     is_ideal,
     is_killing_nondegenerate,
     is_solvable,
+    operator_semidirect,
+    validate,
 )
 from lierad.linalg import Matrix, Subspace, nullspace_sparse, qq, rank, span_sum
 from lierad.modules import (
@@ -110,6 +114,36 @@ def test_is_frattini_free_fixtures_and_reasons():
     assert is_frattini_free(corpus("sl2sl2")).free
     assert is_frattini_free(corpus("aff1")).free
     assert not is_frattini_free(corpus("ut", 3)).free
+
+
+def test_is_frattini_free_names_each_reachable_failed_condition():
+    # t acting on Q^2 by a Jordan block with eigenvalue 2
+    jordan = operator_semidirect([Matrix([[2, 1], [0, 2]])])
+    assert is_frattini_free(jordan).failed_condition == (
+        "complement acts non-semisimply on the nilradical")
+    # span(t1, t2, x, y1, y2): [t1, t2] = x central, [t_i, y_i] = y_i; the
+    # nilradical span(x, y1, y2) is abelian, but [t1 + a, t2 + b] always
+    # has x-coordinate 1, so no complement closes under the bracket
+    c = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for i, j, k in ((0, 1, 2), (0, 3, 3), (1, 4, 4)):
+        c[i][j][k], c[j][i][k] = 1, -1
+    central = LieAlgebra(5, ["t1", "t2", "x", "y1", "y2"], c)
+    assert validate(central).ok
+    assert is_frattini_free(central).failed_condition == (
+        "no subalgebra complement to the nilradical")
+    # "complement to the nilradical is not reductive" cannot fire in
+    # characteristic 0: L/N is reductive
+
+
+def test_check_decomposition_rejects_corrupted_j_summands():
+    alg = corpus_expr("direct(aff1,aff1)")
+    d = frattini_free_decomposition(alg)
+    first, second = d.J_summands
+    _check_decomposition(alg, d)
+    with pytest.raises(AssertionError, match="do not sum to J"):
+        _check_decomposition(alg, replace(d, J_summands=(second, second)))
+    with pytest.raises(AssertionError, match="not independent"):
+        _check_decomposition(alg, replace(d, J_summands=(d.J, second)))
 
 
 def test_frattini_free_decomposition_sl2_v2():
@@ -268,6 +302,21 @@ def test_direct_summands_survive_scrambling_past_the_probe_limit():
             parts = direct_summands(copy)
             assert len(parts) == count, (expr, seed)
             assert all(is_ideal(copy, p) for p in parts), (expr, seed)
+
+
+def test_direct_summands_certificate_fires(monkeypatch):
+    alg = corpus("abelian", 3)
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    for parts, message in (([span(3, e1, e2), span(3, e2, e3)], "not independent"),
+                           ([span(3, e1), span(3, e2)], "do not span")):
+        def split(a, parts=parts):
+            # split the algebra itself; leave its parts whole
+            return parts if a == alg else None
+        monkeypatch.setattr(frattini_module, "_find_ideal_split", split)
+        direct_summands.cache_clear()
+        with pytest.raises(AssertionError, match=message):
+            direct_summands(alg)
+    direct_summands.cache_clear()
 
 
 def test_subdirect_components_d1_v2():

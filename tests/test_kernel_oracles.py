@@ -6,14 +6,16 @@ non-integral entries, the derivation algebra from the dense Leibniz
 system, the Killing form from traces of ad products, factorizations, and
 the defining properties of minimal polynomials; Hypothesis checks that
 ``qq`` and ``div`` land in the scalar domain, that ``rref`` sees only the
-row space and that ``nullspace_sparse`` does not depend on the order of its
-rows.
+row space, that ``nullspace_sparse`` does not depend on the order of its
+rows and that many-argument ``span_sum`` and ``span_intersect`` equal the
+pairwise fold.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -36,6 +38,8 @@ from lierad.linalg import (  # noqa: E402
     qq,
     rref,
     solve,
+    span_intersect,
+    span_sum,
 )
 from lierad.modules import minimal_polynomial  # noqa: E402
 from lierad.polys import factor_rational_poly  # noqa: E402
@@ -258,6 +262,30 @@ def test_nullspace_sparse_ignores_row_order(data):
     kernel = nullspace_sparse(sparse, ncols)
     assert nullspace_sparse([sparse[i] for i in order], ncols) == kernel
     assert kernel == nullspace_matrix(Matrix(rows))
+
+
+def subspaces(n: int):
+    """Subspaces of Q^n spanned by up to n + 1 small vectors, so that sums
+    and intersections of a few of them are neither always zero nor full."""
+    entry = st.one_of(st.integers(-2, 2),
+                      st.sampled_from((Fraction(1, 2), Fraction(-2, 3))))
+    vector = st.lists(entry, min_size=n, max_size=n)
+    return st.lists(vector, max_size=n + 1).map(lambda rows: Subspace.span(n, rows))
+
+
+@given(st.data())
+def test_many_argument_sum_and_intersection_equal_the_pairwise_fold(data):
+    n = data.draw(st.integers(1, 6))
+    spaces = data.draw(st.lists(subspaces(n), min_size=1, max_size=5))
+    assert span_sum(*spaces) == reduce(span_sum, spaces)
+    assert span_intersect(*spaces) == reduce(span_intersect, spaces)
+    stray = data.draw(subspaces(n + 1))
+    at = data.draw(st.integers(0, len(spaces)))
+    mixed = spaces[:at] + [stray] + spaces[at:]
+    with pytest.raises(ValueError):
+        span_sum(*mixed)
+    with pytest.raises(ValueError):
+        span_intersect(*mixed)
 
 
 def sympy_derivations(alg):

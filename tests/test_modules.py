@@ -10,7 +10,8 @@ import pytest
 import lierad.frattini as frattini_module
 import lierad.modules as modules_module
 from lierad.acceptance import random_semidirect_products
-from lierad.corpus import corpus
+from lierad.corpus import corpus, suite_corpus
+from lierad.frattini import is_frattini_free
 from lierad.liealg import ContractError, bracket_spaces
 from lierad.linalg import (
     Matrix,
@@ -18,10 +19,12 @@ from lierad.linalg import (
     Subspace,
     inverse,
     matrix_from_flat,
+    nullspace_matrix,
     qq,
 )
 from lierad.modules import (
     Action,
+    _poly_of_matrix,
     ad_action,
     associative_envelope,
     commutant,
@@ -35,6 +38,8 @@ from lierad.modules import (
     split_over_abelian_ideal,
     trace_radical,
 )
+from lierad.polys import factor_rational_poly
+from lierad.radicals import nilradical
 
 
 def span(n, *vectors):
@@ -215,6 +220,79 @@ def random_actions(seed: int, count: int) -> list:
             ops.append(back.mul(Matrix(op)).mul(change))
         out.append(Action(n, tuple(ops)))
     return out
+
+
+def candidate_search_spinning_whole_kernels(action: Action):
+    """The submodule search that also spins each whole kernel and spins a
+    kernel vector again for every probe and repeated factor it turns up in:
+    the reference the one-spin-per-vector search must agree with."""
+    n = action.carrier_dim
+    envelope = associative_envelope(action)
+    if len(envelope.basis) == n * n:
+        return None
+    candidates = []
+
+    def consider(space):
+        if 0 < space.dim < n:
+            candidates.append(space)
+
+    for probe in probe_matrices(envelope.basis):
+        minpoly = minimal_polynomial(probe)
+        _, factors = factor_rational_poly(minpoly)
+        if len(factors) <= 1 and len(minpoly) - 1 <= 1:
+            continue
+        for f in factors:
+            kernel = nullspace_matrix(_poly_of_matrix(f, probe))
+            if kernel.rows:
+                consider(spin(action, kernel.data))
+                for vec in kernel.data:
+                    consider(spin(action, [vec]))
+    for k in range(n):
+        consider(spin(action, [Matrix.identity(n).row(k)]))
+    return min(candidates, key=lambda s: s.sort_key()) if candidates else None
+
+
+def nilradical_actions_of_frattini_free_benchmark_algebras() -> list:
+    algebras = [alg for _, alg in suite_corpus()]
+    algebras += [alg for _, alg in random_semidirect_products(25, 20260810)]
+    algebras += [corpus("ut", n) for n in (4, 5, 6)]
+    actions = []
+    for alg in algebras:
+        if is_frattini_free(alg):
+            nil = nilradical(alg)
+            complement = split_over_abelian_ideal(alg, nil)
+            actions.append(restricted_ad_action(alg, complement.vectors(), nil))
+    return actions
+
+
+# In these random actions the probes' minimal polynomials keep
+# polys._kronecker_factor busy for 17 s to over 3 min, in either search
+WAITING_ON_FACTORIZATION = (13, 18, 25, 28, 34, 37, 39)
+
+
+def test_find_proper_submodule_agrees_with_spinning_whole_kernels():
+    rotation = [[0, -1], [1, 0]]
+    actions = [a for i, a in enumerate(random_actions(20260810, 40))
+               if i not in WAITING_ON_FACTORIZATION]
+    actions += [sym_power_of_natural_sl2(k) for k in range(1, 5)]
+    actions += [
+        Action(2, (Matrix(rotation),)),
+        Action(2, (Matrix([[0, 1], [0, 0]]),)),
+        Action(2, (Matrix([[2, 1], [0, 2]]),)),
+        Action(3, (Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),)),
+        Action(3, (Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 5]]),)),
+        Action(4, (Matrix([r + [0, 0] for r in rotation]
+                          + [[0, 0, 3, 1], [0, 0, 0, 3]]),)),
+    ]
+    frattini_free = nilradical_actions_of_frattini_free_benchmark_algebras()
+    assert len(frattini_free) > 20
+    actions += frattini_free
+    outcomes = set()
+    for i, action in enumerate(actions):
+        expected = candidate_search_spinning_whole_kernels(action)
+        assert find_proper_submodule(action) == expected, i
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_commutant_is_the_algebra_of_equivariant_maps():
