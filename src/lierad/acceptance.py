@@ -8,7 +8,6 @@ sweeps draw from a seeded generator so the suite is deterministic.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
 
 from . import frattini as fr
 from . import radicals as rd
@@ -33,6 +32,7 @@ from .liealg import (
     ad_of_basis,
     bracket_spaces,
     center,
+    change_basis,
     derived_series,
     direct_product,
     embed_subspace,
@@ -42,13 +42,13 @@ from .liealg import (
     is_solvable,
     is_subalgebra,
     lower_central_series,
+    quotient,
     restrict_to_subalgebra,
     semidirect_product,
     solvability_index,
+    stable_derived_term,
 )
-from .linalg import (Matrix, Q0, Q1, Subspace, complement_codim, inverse, qq,
-                     rank, span_sum)
-from .modules import restricted_ad_action
+from .linalg import Matrix, Q0, Q1, Subspace, complement_codim, inverse, qq, span_sum
 
 DEFAULT_SEED = 20260810
 
@@ -203,7 +203,6 @@ def criterion_7() -> str:
 
 def criterion_8() -> str:
     """Radical identity suite."""
-    from .liealg import stable_derived_term
     for name, alg in suite_corpus():
         lr = rd.levi_radical(alg)
         _require(lr == stable_derived_term(alg),
@@ -256,7 +255,6 @@ def random_semidirect_products(count: int, seed: int) -> list:
     for label, alg in (("sl2", make_sl2()), ("heis3", corpus("heis3")),
                        ("aff1", corpus("aff1"))):
         pool.append(("%s-adjoint" % label, alg, ad_of_basis(alg)))
-    from .liealg import change_basis
     out = []
     for k in range(count):
         choice = rng.randrange(len(pool) + 1)
@@ -288,7 +286,6 @@ def criterion_9(seed: int = DEFAULT_SEED) -> str:
             sub, _ = restrict_to_subalgebra(alg, rad)
             _require(is_solvable(sub), "%s: rad is not solvable" % name)
         if not rad.is_full():
-            from .liealg import quotient
             _require(is_killing_nondegenerate(quotient(alg, rad).quotient),
                      "%s: L/rad is not semisimple" % name)
         nil = rd.nilradical(alg)

@@ -2,6 +2,7 @@
 
 Names: abelian(n), aff1, heis3, sl2, sl2sl2, ut(n), sut(n), sl2_v2, d1_v2,
 and direct(expr, expr, ...) compositions.  `ut:3` is shorthand for `ut(3)`.
+An algebra above ``liealg.MAX_DIM`` dimensions is refused before it is built.
 """
 
 from __future__ import annotations
@@ -9,12 +10,18 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .liealg import LieAlgebra, abelian, direct_product, operator_semidirect
+from .liealg import MAX_DIM, LieAlgebra, abelian, direct_product, operator_semidirect
 from .linalg import Matrix, Q0, Q1
 
 
 class UnknownCorpusName(ValueError):
     pass
+
+
+def _check_dim(what: str, dim: int):
+    if dim > MAX_DIM:
+        raise UnknownCorpusName("%s has dimension %d, above the bound MAX_DIM = %d"
+                                % (what, dim, MAX_DIM))
 
 
 def aff1() -> LieAlgebra:
@@ -52,6 +59,7 @@ def ut(n: int) -> LieAlgebra:
     """Upper triangular n x n matrices under the commutator bracket."""
     if n < 1:
         raise UnknownCorpusName("ut(n) needs n >= 1")
+    _check_dim("ut(%d)" % n, n * (n + 1) // 2)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     return _matrix_span_algebra(n, pairs)
 
@@ -60,6 +68,7 @@ def sut(n: int) -> LieAlgebra:
     """Strictly upper triangular n x n matrices."""
     if n < 2:
         raise UnknownCorpusName("sut(n) needs n >= 2")
+    _check_dim("sut(%d)" % n, n * (n - 1) // 2)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     return _matrix_span_algebra(n, pairs)
 
@@ -102,7 +111,13 @@ _SIMPLE = {
     "sl2sl2": lambda: direct_product([sl2(), sl2()]),
 }
 
-_PARAMETRIC = {"abelian": abelian, "ut": ut, "sut": sut}
+
+def _abelian(n: int) -> LieAlgebra:
+    _check_dim("abelian(%d)" % n, n)
+    return abelian(n)
+
+
+_PARAMETRIC = {"abelian": _abelian, "ut": ut, "sut": sut}
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[(),:]")
 
@@ -154,6 +169,7 @@ def corpus_expr(text: str) -> LieAlgebra:
                 while peek() == ",":
                     take(",")
                     parts.append(parse())
+                    _check_dim("direct(...)", sum(p.dim for p in parts))
                 take(")")
                 if len(parts) < 2:
                     raise UnknownCorpusName("direct(...) needs at least two parts")

@@ -8,11 +8,11 @@ synthesizes the antisymmetric counterparts.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chains import SubspaceFamily
-from .liealg import LieAlgebra, validate
-from .linalg import Matrix, Q0, Subspace, qq
+from .liealg import MAX_DIM, LieAlgebra, validate
+from .linalg import Q0, Subspace, qq
 
 
 class AlgebraFileError(ValueError):
@@ -40,6 +40,17 @@ def str_to_rational(text: str):
         raise AlgebraFileError("bad rational literal %r" % (text,)) from exc
 
 
+def _checked_dim(data: dict, key: str) -> int:
+    try:
+        dim = int(data[key])
+    except (KeyError, TypeError, ValueError):
+        raise AlgebraFileError("missing or non-integer %r field" % key)
+    if not 0 <= dim <= MAX_DIM:
+        raise AlgebraFileError("%r is %d, outside 0 .. MAX_DIM = %d"
+                               % (key, dim, MAX_DIM))
+    return dim
+
+
 def subspace_to_json(space: Subspace) -> list:
     return [[rational_to_str(x) for x in row] for row in space.vectors()]
 
@@ -47,10 +58,6 @@ def subspace_to_json(space: Subspace) -> list:
 def subspace_from_json(ambient_dim: int, rows: Sequence) -> Subspace:
     vecs = [[str_to_rational(x) for x in row] for row in rows]
     return Subspace.span(ambient_dim, vecs)
-
-
-def matrix_to_json(m: Matrix) -> list:
-    return [[rational_to_str(x) for x in row] for row in m.data]
 
 
 def algebra_to_dict(algebra: LieAlgebra, name: str = "") -> dict:
@@ -74,12 +81,7 @@ def algebra_to_dict(algebra: LieAlgebra, name: str = "") -> dict:
 def algebra_from_dict(data: dict) -> LieAlgebra:
     if not isinstance(data, dict):
         raise AlgebraFileError("algebra file must contain a JSON object")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise AlgebraFileError("missing or non-integer 'dim' field")
-    if dim < 0:
-        raise AlgebraFileError("'dim' must be nonnegative")
+    dim = _checked_dim(data, "dim")
     basis = data.get("basis") or ["b%d" % (k + 1) for k in range(dim)]
     if len(basis) != dim:
         raise AlgebraFileError("basis label count %d does not match dim %d"
@@ -131,10 +133,7 @@ def save_algebra(algebra: LieAlgebra, path: str, name: str = ""):
 def family_from_dict(data: dict) -> SubspaceFamily:
     if not isinstance(data, dict):
         raise AlgebraFileError("family file must contain a JSON object")
-    try:
-        ambient = int(data["ambient_dim"])
-    except (KeyError, TypeError, ValueError):
-        raise AlgebraFileError("missing or non-integer 'ambient_dim' field")
+    ambient = _checked_dim(data, "ambient_dim")
     members = []
     for pos, rows in enumerate(data.get("members", [])):
         if not isinstance(rows, list):

@@ -1,10 +1,11 @@
-"""Jacobson and Frattini ideals, indices, and Frattini-free structure theory.
+"""Frattini ideal, Jacobson and Frattini indices, Frattini-free structure.
 
-The Jacobson ideal is exact: [L, rad(L)].  The Frattini ideal is an honest
-estimate type: structural rules (commutative, semisimple, nilpotent,
-Frattini-free, ideal direct sums) give exact values, and everything else
-gets the interval  [L,L] cap Z(L)  <=  P  <=  [L, rad(L)]  rather than an
-invented exact answer.
+The Jacobson ideal [L, rad(L)] is exact and comes from ``radicals``; the
+centroid and ideal direct summands come from ``modules``.  The Frattini
+ideal is an honest estimate type: structural rules (commutative, semisimple,
+nilpotent, Frattini-free, ideal direct sums) give exact values, and
+everything else gets the interval  [L,L] cap Z(L)  <=  P  <=  [L, rad(L)]
+rather than an invented exact answer.
 
 The Frattini-free decision reduces the C + S + J structure theorem to four
 machine-checkable conditions: abelian nilradical, a subalgebra complement,
@@ -17,7 +18,7 @@ as unverified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Optional
@@ -25,13 +26,10 @@ from typing import Optional
 from .liealg import (
     ContractError,
     LieAlgebra,
-    QuotientData,
-    ad_of_basis,
     bracket,
     bracket_spaces,
     center,
     centralizer,
-    derived_series,
     direct_product,
     embed_subspace,
     is_abelian,
@@ -42,35 +40,32 @@ from .liealg import (
     killing_form,
     quotient,
     restrict_to_subalgebra,
-    solvability_index,
     subalgebra_closure,
 )
 from .linalg import (
     Matrix,
-    Q1,
     Subspace,
     complement_codim,
     determinant,
     div,
-    matrix_from_flat,
-    nullspace_matrix,
     rank,
     span_intersect,
     span_sum,
 )
+# centroid, direct_summands and jacobson_ideal live in the lower layers and
+# stay importable from here
 from .modules import (
-    Action,
     NotCompletelyReducibleError,
-    commutant,
+    centroid,
     decompose_module,
-    minimal_polynomial,
-    probe_matrices,
+    direct_summands,
     restricted_ad_action,
     split_over_abelian_ideal,
 )
-from .polys import factor_rational_poly, poly_mul
 from .radicals import (
     _solvability_index_of,
+    decompose_semisimple,
+    jacobson_ideal,
     levi_subalgebra,
     nilradical,
     solvable_radical,
@@ -158,87 +153,8 @@ class FrattiniFreeResult:
 
 
 # ---------------------------------------------------------------------------
-# centroid and ideal direct-sum decomposition
+# Jacobson index
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def centroid(algebra: LieAlgebra) -> Subspace:
-    """{T : T[x,y] = [Tx,y] = [x,Ty]}, as a subspace of operator space.
-
-    This is the commutant of the ad action: T[x,y] = [x,Ty] for all x, y
-    gives T[x,y] = -T[y,x] = -[y,Tx] = [Tx,y].
-    """
-    return commutant(Action(algebra.dim, ad_of_basis(algebra)))
-
-
-def _poly_power_kernel(p, mult: int, m: Matrix) -> Subspace:
-    from .modules import _poly_of_matrix
-    power = [Q1]
-    for _ in range(mult):
-        power = poly_mul(power, list(p))
-    return Subspace.span(m.rows, nullspace_matrix(_poly_of_matrix(power, m)).data)
-
-
-def _find_ideal_split(algebra: LieAlgebra) -> Optional[list]:
-    n = algebra.dim
-    cent = centroid(algebra)
-    for probe in probe_matrices([matrix_from_flat(v, n, n) for v in cent.vectors()]):
-        minpoly = minimal_polynomial(probe)
-        _, factors = factor_rational_poly(minpoly)
-        groups: dict = {}
-        for f in factors:
-            groups[tuple(f)] = groups.get(tuple(f), 0) + 1
-        if len(groups) < 2:
-            continue
-        parts = [_poly_power_kernel(list(f), mult, probe)
-                 for f, mult in groups.items()]
-        if sum(p.dim for p in parts) != n:
-            continue
-        if not all(is_ideal(algebra, p) for p in parts):
-            continue
-        return parts
-    return None
-
-
-@lru_cache(maxsize=None)
-def direct_summands(algebra: LieAlgebra) -> tuple:
-    """Ideal direct summands found by splitting centroid minimal polynomials.
-
-    Returns (L,) when no split is found; every returned decomposition is
-    verified (ideals, pairwise independent, spanning).
-    """
-    if algebra.dim == 0:
-        return ()
-
-    def rec(alg: LieAlgebra, basis: Matrix) -> list:
-        split = _find_ideal_split(alg)
-        if split is None:
-            return [embed_subspace(basis, alg.full_space())]
-        out = []
-        for part in split:
-            part_alg, part_basis = restrict_to_subalgebra(alg, part)
-            out.extend(rec(part_alg, part_basis.mul(basis)))
-        return out
-
-    parts = sorted(rec(algebra, Matrix.identity(algebra.dim)),
-                   key=lambda s: s.sort_key())
-    total = span_sum(*parts)
-    if sum(p.dim for p in parts) != total.dim:
-        raise AssertionError("direct summands are not independent")
-    if not total.is_full():
-        raise AssertionError("direct summands do not span")
-    return tuple(parts)
-
-
-# ---------------------------------------------------------------------------
-# Jacobson ideal and index
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def jacobson_ideal(algebra: LieAlgebra) -> Subspace:
-    """[L, rad(L)], the intersection of the maximal finite-codim ideals."""
-    return bracket_spaces(algebra, algebra.full_space(), solvable_radical(algebra))
-
 
 def jacobson_index(algebra: LieAlgebra) -> int:
     """Solvability index of the Jacobson ideal, plus one."""
@@ -412,7 +328,6 @@ def classify_subsimple(algebra: LieAlgebra,
     witness is (C + S, J).  A probe that misses a submodule of a
     non-semisimple action on the nilradical thus gives NotSubsimple.
     """
-    from .radicals import decompose_semisimple
     if algebra.dim == 1:
         return SubsimpleClass("OneDim")
     if is_killing_nondegenerate(algebra):
@@ -466,7 +381,6 @@ def subdirect_components(algebra: LieAlgebra) -> tuple:
     of S that annihilates J, and one per central line of C not acting on J.
     """
     decomposition = frattini_free_decomposition(algebra)
-    from .radicals import decompose_semisimple
     c_part, s_part, j_part = decomposition.C, decomposition.S, decomposition.J
     reductive = span_sum(c_part, s_part)
     kernels = []

@@ -29,6 +29,12 @@ from .linalg import (
 )
 
 
+# The largest dimension taken from outside the package: the loaders of
+# algebra and family files and the corpus expressions refuse anything larger
+# before allocating it.  The largest ut(n) it admits is ut(10), dimension 55.
+MAX_DIM = 64
+
+
 class ContractError(ValueError):
     """A documented precondition of an operation was violated."""
 

@@ -156,9 +156,6 @@ class Matrix:
             [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)
         ], cols=self.cols)
 
-    def neg(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data], cols=self.cols)
-
     def scale(self, c) -> "Matrix":
         c = qq(c)
         return Matrix([[c * a for a in row] for row in self.data], cols=self.cols)
@@ -214,15 +211,6 @@ class Matrix:
                 if b:
                     t += a * b
         return qq(t)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.rows == 0:
-            return self
-        if self.rows == 0:
-            return other
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch in stack")
-        return Matrix(self.data + other.data, cols=self.cols)
 
     def flatten(self) -> tuple:
         """Row-major entry tuple (the operator-space coordinates)."""

@@ -1,4 +1,4 @@
-"""Associative envelopes, invariant-subspace search and module splitting.
+"""Associative envelopes, invariant-subspace search, module and ideal splitting.
 
 The engine behind the Levi construction, the nilradical, decomposability
 tests and the Frattini-free decision.  Complete reducibility is decided
@@ -13,12 +13,17 @@ outcome, only as strong as the deterministic probe set, which suffices for
 split modules with rational eigenvalue separations.  The probes are kernels
 of irreducible factors of minimal polynomials; each kernel vector is spun
 once.
+
+Ideal direct summands come from the same probes, taken over the centroid
+(the commutant of ad): the primary components of a centroid element are
+ideals, kept when they are and when their dimensions add up.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, Optional, Sequence
 
 from .liealg import (
@@ -30,6 +35,8 @@ from .liealg import (
     bracket_spaces,
     embed_subspace,
     is_ideal,
+    is_subalgebra,
+    restrict_to_subalgebra,
 )
 from .linalg import (
     Matrix,
@@ -43,7 +50,7 @@ from .linalg import (
     solve,
     span_sum,
 )
-from .polys import factor_rational_poly, poly_trim
+from .polys import factor_rational_poly, poly_mul, poly_trim
 
 
 @dataclass(frozen=True)
@@ -267,6 +274,17 @@ def probe_matrices(mats: Sequence[Matrix]) -> list:
     return probes
 
 
+def _probe_factors(mats: Sequence[Matrix]):
+    """Each non-scalar probe of ``probe_matrices(mats)``, with the distinct
+    irreducible factors of its minimal polynomial mapped to their
+    multiplicities."""
+    for probe in probe_matrices(mats):
+        minpoly = minimal_polynomial(probe)
+        if len(minpoly) > 2:
+            _, factors = factor_rational_poly(minpoly)
+            yield probe, Counter(map(tuple, factors))
+
+
 def find_proper_submodule(action: Action) -> Optional[Subspace]:
     """A proper nonzero invariant subspace, or None when none is found.
 
@@ -284,12 +302,8 @@ def find_proper_submodule(action: Action) -> Optional[Subspace]:
     if len(envelope.basis) == n * n:
         return None
     seeds = {}
-    for probe in probe_matrices(envelope.basis):
-        minpoly = minimal_polynomial(probe)
-        _, factors = factor_rational_poly(minpoly)
-        if len(factors) <= 1 and len(minpoly) - 1 <= 1:
-            continue
-        for f in dict.fromkeys(map(tuple, factors)):
+    for probe, factors in _probe_factors(envelope.basis):
+        for f in factors:
             kernel = nullspace_matrix(_poly_of_matrix(f, probe))
             seeds.update(dict.fromkeys(kernel.data))
     seeds.update(dict.fromkeys(Matrix.identity(n).data))
@@ -303,6 +317,64 @@ def find_proper_submodule(action: Action) -> Optional[Subspace]:
     if not candidates:
         return None
     return min(candidates, key=lambda s: s.sort_key())
+
+
+@lru_cache(maxsize=None)
+def centroid(algebra: LieAlgebra) -> Subspace:
+    """{T : T[x,y] = [Tx,y] = [x,Ty]}, as a subspace of operator space.
+
+    This is the commutant of the ad action: T[x,y] = [x,Ty] for all x, y
+    gives T[x,y] = -T[y,x] = -[y,Tx] = [Tx,y].
+    """
+    return commutant(Action(algebra.dim, ad_of_basis(algebra)))
+
+
+def _find_ideal_split(algebra: LieAlgebra) -> Optional[list]:
+    """Primary components of the first centroid probe that splits L into
+    ideals: the kernels of f^m(probe) over its factors f of multiplicity m."""
+    n = algebra.dim
+    cent = [matrix_from_flat(v, n, n) for v in centroid(algebra).vectors()]
+    for probe, factors in _probe_factors(cent):
+        if len(factors) < 2:
+            continue
+        parts = []
+        for f, mult in factors.items():
+            power = reduce(poly_mul, [f] * mult)
+            kernel = nullspace_matrix(_poly_of_matrix(power, probe))
+            parts.append(Subspace.span(n, kernel.data))
+        if sum(p.dim for p in parts) == n and all(is_ideal(algebra, p) for p in parts):
+            return parts
+    return None
+
+
+@lru_cache(maxsize=None)
+def direct_summands(algebra: LieAlgebra) -> tuple:
+    """Ideal direct summands found by splitting centroid minimal polynomials.
+
+    Returns (L,) when no split is found; every returned decomposition is
+    verified (ideals, pairwise independent, spanning).
+    """
+    if algebra.dim == 0:
+        return ()
+
+    def rec(alg: LieAlgebra, basis: Matrix) -> list:
+        split = _find_ideal_split(alg)
+        if split is None:
+            return [embed_subspace(basis, alg.full_space())]
+        out = []
+        for part in split:
+            part_alg, part_basis = restrict_to_subalgebra(alg, part)
+            out.extend(rec(part_alg, part_basis.mul(basis)))
+        return out
+
+    parts = sorted(rec(algebra, Matrix.identity(algebra.dim)),
+                   key=lambda s: s.sort_key())
+    total = span_sum(*parts)
+    if sum(p.dim for p in parts) != total.dim:
+        raise AssertionError("direct summands are not independent")
+    if not total.is_full():
+        raise AssertionError("direct summands do not span")
+    return tuple(parts)
 
 
 def _equivariant_complement(action: Action, sub: Subspace) -> Subspace:
@@ -445,7 +517,6 @@ def split_over_abelian_ideal(algebra: LieAlgebra, x: Subspace) -> Optional[Subsp
                     vec[t] += coeff * xbasis[s][t]
         vecs.append(vec)
     result = Subspace.span(n, vecs)
-    from .liealg import is_subalgebra
     if not is_subalgebra(algebra, result):
         raise AssertionError("split produced a non-subalgebra")
     if not span_sum(result, x).is_full() or result.dim != m:

@@ -2,8 +2,12 @@
 
 Polynomials are coefficient lists, constant term first.  Factorization is
 rational-root extraction followed by a Kronecker interpolation search for
-higher-degree factors; exponential in the degree but exact, and entirely
-adequate at the desk-scale degrees (<= 10) this package produces.
+higher-degree factors: exact, but its work grows with the degree and with the
+number of divisors of the polynomial's values, so small degrees do not bound
+it.  x^6 + x + 720720 does not finish in 20 s, and minimal polynomials of
+degree 5 to 7 from integral actions conjugated by a random integral basis
+change can take minutes.  Hensel lifting would remove that limit (ROADMAP
+item 3).
 """
 
 from __future__ import annotations

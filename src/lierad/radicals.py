@@ -11,8 +11,9 @@ and tr(ad x * r) = 0 for x in rad, r in rad(A), so B and A give the same
 conditions.  The Levi complement is lifted stepwise along the derived
 series of the radical, one linear solve per abelian layer.  Semisimple
 algebras split into simple ideals through the centroid (primary
-decomposition of centroid elements, ``frattini.direct_summands``), where a
-1-dim centroid of a semisimple summand certifies it simple.
+decomposition of centroid elements, ``modules.direct_summands``), where a
+1-dim centroid of a semisimple summand certifies it simple.  The Jacobson
+ideal is [L, rad].
 
 Every constructor returns its certificate alongside nothing: the functions
 raise if their own output fails the checks the theory promises (solvable
@@ -28,8 +29,7 @@ from typing import Callable, Optional
 from .liealg import (
     ContractError,
     LieAlgebra,
-    SeriesResult,
-    bracket,
+    ad_matrix,
     bracket_spaces,
     center,
     derived_series,
@@ -38,6 +38,7 @@ from .liealg import (
     is_killing_nondegenerate,
     is_subalgebra,
     killing_form,
+    lower_central_series,
     quotient,
     restrict_to_subalgebra,
     solvability_index,
@@ -45,7 +46,12 @@ from .liealg import (
     stable_lower_central_term,
 )
 from .linalg import Matrix, Q0, SpanBuilder, Subspace, nullspace_matrix, span_sum
-from .modules import associative_envelope, split_over_abelian_ideal
+from .modules import (
+    Action,
+    associative_envelope,
+    direct_summands,
+    split_over_abelian_ideal,
+)
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,6 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
     the nilpotent ad(N), so it is strictly triangular there and in rad(A).
     As ad x * r lies in rad(A) for r in rad(A), tr(ad x * r) = 0.
     """
-    from .liealg import ad_matrix, lower_central_series
     rad = solvable_radical(algebra)
     n = algebra.dim
     if rad.is_zero():
@@ -117,7 +122,6 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
         builder.add(v)
     rad_ads = [ad_matrix(algebra, v) for v in rad.vectors()]
     gens = [a for v, a in zip(rad.vectors(), rad_ads) if builder.add(v)]
-    from .modules import Action
     env = associative_envelope(Action(n, tuple(gens)))
     rows = []
     for b in env.basis:
@@ -176,14 +180,13 @@ def decompose_semisimple(algebra: LieAlgebra) -> tuple:
     """Simple ideal summands of a Killing-nondegenerate algebra.
 
     The summands are the ideal direct summands that primary decomposition of
-    centroid elements splits off (``frattini.direct_summands``).  The
+    centroid elements splits off (``modules.direct_summands``).  The
     centroid of a semisimple algebra is the product of the centroids of its
     simple ideals, so a summand with a 1-dim centroid is certified simple; a
     larger centroid that no probe splits is returned as one summand.
     """
     if not is_killing_nondegenerate(algebra):
         raise ContractError("decompose_semisimple requires a nondegenerate Killing form")
-    from .frattini import direct_summands
     parts = direct_summands(algebra)
     kappa = killing_form(algebra)
     for i, a in enumerate(parts):
@@ -198,6 +201,12 @@ def decompose_semisimple(algebra: LieAlgebra) -> tuple:
     if sum(p.dim for p in parts) != algebra.dim:
         raise AssertionError("semisimple summands do not span")
     return parts
+
+
+@lru_cache(maxsize=None)
+def jacobson_ideal(algebra: LieAlgebra) -> Subspace:
+    """[L, rad(L)], the intersection of the maximal finite-codim ideals."""
+    return bracket_spaces(algebra, algebra.full_space(), solvable_radical(algebra))
 
 
 @lru_cache(maxsize=None)
@@ -309,11 +318,6 @@ def _derived_map(algebra: LieAlgebra) -> Subspace:
 DERIVED_MAP = PreradicalSpec("derived", _derived_map)
 
 
-def _jacobson_map(algebra: LieAlgebra) -> Subspace:
-    from .frattini import jacobson_ideal
-    return jacobson_ideal(algebra)
-
-
 REGISTRY = {
     "rad": PreradicalSpec("rad", solvable_radical),
     "nilrad": PreradicalSpec("nilrad", nilradical),
@@ -323,6 +327,6 @@ REGISTRY = {
                                            stable_lower_central_term),
     "levi-radical": PreradicalSpec("levi-radical", levi_radical),
     "semisimple-ideal": PreradicalSpec("semisimple-ideal", largest_semisimple_ideal),
-    "jacobson": PreradicalSpec("jacobson", _jacobson_map),
+    "jacobson": PreradicalSpec("jacobson", jacobson_ideal),
     "vasilescu": PreradicalSpec("vasilescu", vasilescu_radical),
 }

@@ -88,10 +88,7 @@ def _fmarsh_chain_ok(algebra: LieAlgebra) -> bool:
     k = fr.jacobson_ideal(algebra)
     nil = rd.nilradical(algebra)
     rad = rd.solvable_radical(algebra)
-    chain = k.contains(est.upper) and nil.contains(k) and rad.contains(nil)
-    if est.exact:
-        chain = chain and k.contains(est.value)
-    return chain
+    return k.contains(est.upper) and nil.contains(k) and rad.contains(nil)
 
 
 def analyze(algebra: LieAlgebra, name: str = "") -> dict:

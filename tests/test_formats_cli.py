@@ -7,7 +7,7 @@ import json
 import pytest
 
 from lierad.cli import main
-from lierad.corpus import corpus
+from lierad.corpus import UnknownCorpusName, corpus, corpus_expr
 from lierad.formats import (
     AlgebraFileError,
     AlgebraValidationError,
@@ -17,7 +17,7 @@ from lierad.formats import (
     load_algebra,
     save_algebra,
 )
-from lierad.liealg import is_abelian, validate
+from lierad.liealg import MAX_DIM, is_abelian, validate
 from lierad.reports import analyze, report_to_json
 
 HEIS3_FILE = {
@@ -203,3 +203,35 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["analyze"])  # missing target
     assert err.value.code == 2
+
+
+HUGE = 10 ** 9
+
+
+@pytest.mark.parametrize("target", ["corpus:ut(%d)" % HUGE, "corpus:sut:%d" % HUGE,
+                                    "corpus:abelian(%d)" % HUGE,
+                                    "corpus:direct(heis3,abelian(%d))" % HUGE,
+                                    "corpus:direct(ut(10),ut(4))"])
+def test_cli_refuses_corpus_algebras_above_the_dimension_bound(target, capsys):
+    assert main(["analyze", target]) == 2
+    assert "MAX_DIM = %d" % MAX_DIM in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [{"dim": HUGE}, {"ambient_dim": HUGE},
+                                  {"ambient_dim": -1}])
+def test_cli_refuses_file_dimensions_out_of_range(data, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = ["analyze", str(path)] if "dim" in data else ["chains", str(path), "meet"]
+    assert main(argv) == 2
+    assert "MAX_DIM = %d" % MAX_DIM in capsys.readouterr().err
+
+
+def test_the_dimension_bound_admits_the_largest_corpus_algebras():
+    assert corpus_expr("ut(10)").dim == 55
+    assert corpus_expr("direct(ut(10),abelian(9))").dim == MAX_DIM
+    assert family_from_dict({"ambient_dim": MAX_DIM}).ambient_dim == MAX_DIM
+    with pytest.raises(AlgebraFileError, match="MAX_DIM"):
+        algebra_from_dict({"dim": MAX_DIM + 1})
+    with pytest.raises(UnknownCorpusName, match="MAX_DIM"):
+        corpus_expr("ut(11)")

@@ -312,7 +312,7 @@ def test_direct_summands_certificate_fires(monkeypatch):
         def split(a, parts=parts):
             # split the algebra itself; leave its parts whole
             return parts if a == alg else None
-        monkeypatch.setattr(frattini_module, "_find_ideal_split", split)
+        monkeypatch.setattr(modules_module, "_find_ideal_split", split)
         direct_summands.cache_clear()
         with pytest.raises(AssertionError, match=message):
             direct_summands(alg)

@@ -339,7 +339,6 @@ def test_both_splitters_draw_from_probe_matrices(monkeypatch):
         return probe_matrices(mats)
 
     monkeypatch.setattr(modules_module, "probe_matrices", spy)
-    monkeypatch.setattr(frattini_module, "probe_matrices", spy)
     assert find_proper_submodule(Action(2, (diag(1, 2),))) == span(2, (1, 0))
     assert seen == [2]
     frattini_module.direct_summands.cache_clear()
