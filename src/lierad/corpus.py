@@ -155,13 +155,20 @@ def corpus_expr(text: str) -> LieAlgebra:
         pos += 1
         return tok
 
+    def number() -> int:
+        tok = take()
+        try:
+            return int(tok)
+        except ValueError:  # not digits, or past int()'s digit limit
+            raise UnknownCorpusName("expected an integer, got %r" % tok[:20]) from None
+
     def parse() -> LieAlgebra:
         name = take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise UnknownCorpusName("expected a name, got %r" % name)
         if peek() == ":":
             take(":")
-            return corpus(name, int(take()))
+            return corpus(name, number())
         if peek() == "(":
             take("(")
             if name == "direct":
@@ -176,10 +183,10 @@ def corpus_expr(text: str) -> LieAlgebra:
                 return direct_product(parts)
             args = []
             if peek() != ")":
-                args.append(int(take()))
+                args.append(number())
                 while peek() == ",":
                     take(",")
-                    args.append(int(take()))
+                    args.append(number())
             take(")")
             return corpus(name, *args)
         return corpus(name)

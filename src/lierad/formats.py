@@ -82,7 +82,9 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
     if not isinstance(data, dict):
         raise AlgebraFileError("algebra file must contain a JSON object")
     dim = _checked_dim(data, "dim")
-    basis = data.get("basis") or ["b%d" % (k + 1) for k in range(dim)]
+    basis = data.get("basis", ["b%d" % (k + 1) for k in range(dim)])
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise AlgebraFileError("'basis' must be a list of label strings")
     if len(basis) != dim:
         raise AlgebraFileError("basis label count %d does not match dim %d"
                                % (len(basis), dim))

@@ -2,15 +2,15 @@
 
 The Jacobson ideal [L, rad(L)] is exact and comes from ``radicals``; the
 centroid and ideal direct summands come from ``modules``.  The Frattini
-ideal is an honest estimate type: structural rules (commutative, semisimple,
-nilpotent, Frattini-free, ideal direct sums) give exact values, and
-everything else gets the interval  [L,L] cap Z(L)  <=  P  <=  [L, rad(L)]
-rather than an invented exact answer.
+ideal is an honest estimate type: structural rules (nilpotent, Frattini-free,
+ideal direct sums) give exact values, and everything else gets the interval
+[L,L] cap Z(L)  <=  P  <=  [L, rad(L)]  rather than an invented exact answer.
 
-The Frattini-free decision reduces the C + S + J structure theorem to four
-machine-checkable conditions: abelian nilradical, a subalgebra complement,
-reductivity of the complement, and complete reducibility of its action on
-the nilradical.  Subsimple tags come with witnesses; ClassII is read off
+The Frattini-free decision reduces the C + S + J structure theorem to three
+machine-checkable conditions: abelian nilradical N, a subalgebra complement
+to N, and complete reducibility of its action on N.  The complement needs no
+reductivity test: it is isomorphic to L/N, which is reductive because
+[L, rad L] lies in N.  Subsimple tags come with witnesses; ClassII is read off
 that C + S + J decomposition, and ClassI isomorphism is only claimed outright
 when an explicit witness verifies, else invariant screening flags the result
 as unverified.
@@ -32,7 +32,6 @@ from .liealg import (
     centralizer,
     direct_product,
     embed_subspace,
-    is_abelian,
     is_ideal,
     is_killing_nondegenerate,
     is_nilpotent,
@@ -45,7 +44,6 @@ from .liealg import (
 from .linalg import (
     Matrix,
     Subspace,
-    complement_codim,
     determinant,
     div,
     rank,
@@ -68,7 +66,6 @@ from .radicals import (
     jacobson_ideal,
     levi_subalgebra,
     nilradical,
-    solvable_radical,
 )
 
 
@@ -173,7 +170,11 @@ def jacobson_index(algebra: LieAlgebra) -> int:
 
 @lru_cache(maxsize=None)
 def is_frattini_free(algebra: LieAlgebra) -> FrattiniFreeResult:
-    """Decide Frattini-freeness via the four-part structure test."""
+    """Decide Frattini-freeness via the three-part structure test.
+
+    A complement to N needs no reductivity test: it is isomorphic to L/N,
+    which is reductive as [L, rad L] lies in N; ``_check_decomposition``
+    still certifies C + S."""
     nil = nilradical(algebra)
     if not bracket_spaces(algebra, nil, nil).is_zero():
         return FrattiniFreeResult(False, failed_condition="nilradical is not abelian")
@@ -182,9 +183,6 @@ def is_frattini_free(algebra: LieAlgebra) -> FrattiniFreeResult:
         return FrattiniFreeResult(
             False, failed_condition="no subalgebra complement to the nilradical")
     comp_alg, comp_basis = restrict_to_subalgebra(algebra, complement)
-    if solvable_radical(comp_alg) != center(comp_alg):
-        return FrattiniFreeResult(
-            False, failed_condition="complement to the nilradical is not reductive")
     action = restricted_ad_action(algebra, complement.vectors(), nil)
     try:
         j_summands = decompose_module(action)
@@ -240,12 +238,11 @@ def frattini_free_decomposition(algebra: LieAlgebra) -> FrattiniFreeDecompositio
 
 @lru_cache(maxsize=None)
 def frattini_ideal(algebra: LieAlgebra) -> IdealEstimate:
-    """Frattini ideal, exact when a structural rule fires, else an interval."""
+    """Frattini ideal, exact when a structural rule fires, else an interval.
+
+    An abelian L is nilpotent with [L, L] = 0 and a semisimple L is
+    Frattini-free, so the first two rules give both 0."""
     full = algebra.full_space()
-    if is_abelian(algebra):
-        return IdealEstimate.exactly(algebra.zero_space())
-    if is_killing_nondegenerate(algebra):
-        return IdealEstimate.exactly(algebra.zero_space())
     if is_nilpotent(algebra):
         return IdealEstimate.exactly(bracket_spaces(algebra, full, full))
     if is_frattini_free(algebra):
@@ -266,8 +263,9 @@ def frattini_ideal(algebra: LieAlgebra) -> IdealEstimate:
 
 
 def frattini_index(algebra: LieAlgebra) -> IndexEstimate:
-    """Exact solvability-index formula when the ideal is exact, else Eq-(10)
-    style interval intersected with [jacobson_index - 1, jacobson_index]."""
+    """Exact solvability-index formula when the ideal is exact, else the
+    interval [i_s(N), jacobson_index]: jacobson_index - 1 = i_s([L, rad L])
+    <= i_s(N), and i_s(N) >= 1 as an interval needs N != 0."""
     if algebra.dim == 0:
         return IndexEstimate.exactly(0)
     estimate = frattini_ideal(algebra)
@@ -276,10 +274,8 @@ def frattini_index(algebra: LieAlgebra) -> IndexEstimate:
         if i_s is None:
             raise AssertionError("exact Frattini ideal is not solvable")
         return IndexEstimate.exactly(i_s + 1)
-    r_j = jacobson_index(algebra)
     n_i = _solvability_index_of(algebra, nilradical(algebra))
-    low = max(n_i, r_j - 1, 1)
-    return IndexEstimate(low, r_j)
+    return IndexEstimate(n_i, jacobson_index(algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +373,9 @@ def _verify_iso_witness(alg1: LieAlgebra, alg2: LieAlgebra, witness: Matrix):
 def subdirect_components(algebra: LieAlgebra) -> tuple:
     """Quotients onto subsimple algebras with kernels intersecting to zero.
 
-    One quotient per irreducible nilradical summand, one per simple component
-    of S that annihilates J, and one per central line of C not acting on J.
+    One quotient per irreducible nilradical summand and one per simple
+    component of S that annihilates J.  C needs none: an element of C that
+    centralizes J is central in L, so lies in N = J, and C cap J = 0.
     """
     decomposition = frattini_free_decomposition(algebra)
     c_part, s_part, j_part = decomposition.C, decomposition.S, decomposition.J
@@ -396,14 +393,6 @@ def subdirect_components(algebra: LieAlgebra) -> tuple:
             if bracket_spaces(algebra, part, j_part).is_zero():
                 kernels.append(span_sum(c_part, j_part, *simple_parts[:i],
                                         *simple_parts[i + 1:]))
-    central = span_intersect(c_part, centralizer(algebra, j_part))
-    if not central.is_zero():
-        # extend the inert central part to a basis of C; the extension acts
-        acting, _ = complement_codim(c_part, central)
-        lines = central.vectors()
-        for i in range(len(lines)):
-            kernels.append(span_sum(s_part, j_part, Subspace.span(
-                algebra.dim, acting.data + lines[:i] + lines[i + 1:])))
     components = tuple(quotient(algebra, k) for k in kernels)
     if not span_intersect(algebra.full_space(), *kernels).is_zero():
         raise AssertionError("subdirect kernels do not intersect to zero")

@@ -9,7 +9,7 @@ over the closure Lie's theorem makes ad(rad) triangular and ad M, nilpotent
 as M lies in the nilradical, strictly triangular, so ad M lies in rad(A);
 and tr(ad x * r) = 0 for x in rad, r in rad(A), so B and A give the same
 conditions.  The Levi complement is lifted stepwise along the derived
-series of the radical, one linear solve per abelian layer.  Semisimple
+series of a proper radical, one linear solve per abelian layer.  Semisimple
 algebras split into simple ideals through the centroid (primary
 decomposition of centroid elements, ``modules.direct_summands``), where a
 1-dim centroid of a semisimple summand certifies it simple.  The Jacobson
@@ -156,8 +156,11 @@ def levi_subalgebra(algebra: LieAlgebra) -> LeviDecomposition:
 
 
 def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
+    """Complement to rad; 0 at once for a solvable L, so no lift meets A = L."""
     if rad.is_zero():
         return algebra.full_space()
+    if rad.is_full():
+        return algebra.zero_space()
     rad_alg, rad_basis = restrict_to_subalgebra(algebra, rad)
     series = derived_series(rad_alg)
     last_nonzero = series.terms[series.stable_index - 1]
@@ -165,8 +168,6 @@ def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
     quot = quotient(algebra, abelian_layer)
     upper_levi = levi_subalgebra(quot.quotient).levi
     pulled = quot.pull(upper_levi)
-    if pulled.is_full() and abelian_layer.is_full():
-        return algebra.zero_space()
     part_alg, part_basis = restrict_to_subalgebra(algebra, pulled)
     layer_coords = Subspace.span(
         part_alg.dim, [pulled.coords_of(v) for v in abelian_layer.vectors()])

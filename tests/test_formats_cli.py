@@ -235,3 +235,27 @@ def test_the_dimension_bound_admits_the_largest_corpus_algebras():
         algebra_from_dict({"dim": MAX_DIM + 1})
     with pytest.raises(UnknownCorpusName, match="MAX_DIM"):
         corpus_expr("ut(11)")
+
+
+# int() refuses decimal strings past 4,300 digits
+LONG_NUMBER = "1" * 5000
+
+
+@pytest.mark.parametrize("target", ["corpus:ut(%s)" % LONG_NUMBER,
+                                    "corpus:ut:%s" % LONG_NUMBER],
+                         ids=["ut(N)", "ut:N"])
+def test_cli_refuses_corpus_numbers_int_rejects(target, capsys):
+    assert main(["analyze", target]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", [5, "xyz", {"a": 1, "b": 2, "c": 3}],
+                         ids=["int", "string", "object"])
+def test_cli_refuses_a_basis_that_is_not_a_list_of_strings(basis, tmp_path, capsys):
+    data = dict(HEIS3_FILE, basis=basis)
+    with pytest.raises(AlgebraFileError, match="list of label strings"):
+        algebra_from_dict(data)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    assert "list of label strings" in capsys.readouterr().err

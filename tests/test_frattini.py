@@ -9,6 +9,7 @@ import pytest
 
 import lierad.frattini as frattini_module
 import lierad.modules as modules_module
+import lierad.radicals as radicals_module
 from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.frattini import (
@@ -49,9 +50,18 @@ from lierad.liealg import (
     is_killing_nondegenerate,
     is_solvable,
     operator_semidirect,
+    restrict_to_subalgebra,
     validate,
 )
-from lierad.linalg import Matrix, Subspace, nullspace_sparse, qq, rank, span_sum
+from lierad.linalg import (
+    Matrix,
+    Subspace,
+    nullspace_sparse,
+    qq,
+    rank,
+    span_intersect,
+    span_sum,
+)
 from lierad.modules import (
     find_proper_submodule,
     restricted_ad_action,
@@ -60,6 +70,7 @@ from lierad.modules import (
 from lierad.radicals import (
     _solvability_index_of,
     levi_radical,
+    levi_subalgebra,
     nilradical,
     solvable_radical,
 )
@@ -131,8 +142,88 @@ def test_is_frattini_free_names_each_reachable_failed_condition():
     assert validate(central).ok
     assert is_frattini_free(central).failed_condition == (
         "no subalgebra complement to the nilradical")
-    # "complement to the nilradical is not reductive" cannot fire in
-    # characteristic 0: L/N is reductive
+
+
+@pytest.fixture(scope="module")
+def structure_pool():
+    """Suite corpus, the 25 acceptance products, gl2 on Q^2 and triangular
+    operators."""
+    pool = suite_corpus() + random_semidirect_products(25, 20260810)
+    units = [Matrix([[int((i, j) == (a, b)) for j in range(2)] for i in range(2)])
+             for a in range(2) for b in range(2)]
+    pool.append(("gl2-natural", operator_semidirect(units)))
+    rng = random.Random(20261019)
+    for k in range(8):
+        size = rng.randrange(2, 4)
+        ops = [Matrix([[rng.randint(-2, 2) if j >= i else 0 for j in range(size)]
+                       for i in range(size)]) for _ in range(rng.randrange(1, 3))]
+        pool.append(("triangular#%d" % k, operator_semidirect(ops)))
+    return pool
+
+
+def test_complement_to_an_abelian_nilradical_is_reductive(structure_pool):
+    # why is_frattini_free needs no reductivity test: the complement is
+    # isomorphic to L/N, and [L, rad L] lies in N
+    reductive_not_semisimple = 0
+    for name, alg in structure_pool:
+        nil = nilradical(alg)
+        if not bracket_spaces(alg, nil, nil).is_zero():
+            continue
+        complement = split_over_abelian_ideal(alg, nil)
+        if complement is None:
+            continue
+        comp_alg, _ = restrict_to_subalgebra(alg, complement)
+        assert solvable_radical(comp_alg) == center(comp_alg), name
+        reductive_not_semisimple += not center(comp_alg).is_zero()
+    assert reductive_not_semisimple >= 3
+
+
+def test_frattini_free_c_meets_the_centralizer_of_j_in_zero(structure_pool):
+    # why subdirect_components has no central-line components: such a line
+    # would be central in L, so inside N = J, which meets C in 0
+    with_c = 0
+    for name, alg in structure_pool:
+        free = is_frattini_free(alg)
+        if not free:
+            continue
+        d = free.decomposition
+        assert span_intersect(d.C, centralizer(alg, d.J)).is_zero(), name
+        with_c += not d.C.is_zero()
+    assert with_c >= 3
+
+
+def test_interval_index_floor_is_the_nilradical_index(structure_pool):
+    # why frattini_index needs no other floor: r_J - 1 = i_s([L, rad L]) and
+    # [L, rad L] lies in N; an interval needs N != 0
+    intervals = 0
+    for name, alg in structure_pool:
+        if frattini_ideal(alg).exact:
+            continue
+        intervals += 1
+        n_i = _solvability_index_of(alg, nilradical(alg))
+        assert frattini_index(alg).low == n_i, name
+        assert n_i >= max(jacobson_index(alg) - 1, 1), name
+    assert intervals >= 3
+
+
+def test_levi_of_a_solvable_algebra_takes_no_quotient(monkeypatch):
+    calls = []
+    real = radicals_module.quotient
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radicals_module, "quotient", counted)
+    for expr in ("ut(4)", "heis3", "aff1", "abelian(2)"):
+        levi_subalgebra.cache_clear()
+        assert levi_subalgebra(corpus_expr(expr)).levi.is_zero(), expr
+        assert calls == [], expr
+    # the counter does fire when the radical is proper
+    levi_subalgebra.cache_clear()
+    levi_subalgebra(corpus("sl2_v2"))
+    assert calls
+    levi_subalgebra.cache_clear()
 
 
 def test_check_decomposition_rejects_corrupted_j_summands():
