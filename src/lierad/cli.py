@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 2
-    except (AlgebraFileError, FileNotFoundError) as exc:
+    except AlgebraFileError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 2
     except AlgebraValidationError as exc:

@@ -2,7 +2,10 @@
 
 Names: abelian(n), aff1, heis3, sl2, sl2sl2, ut(n), sut(n), sl2_v2, d1_v2,
 and direct(expr, expr, ...) compositions.  `ut:3` is shorthand for `ut(3)`.
-An algebra above ``liealg.MAX_DIM`` dimensions is refused before it is built.
+An algebra above ``liealg.MAX_DIM`` dimensions is refused before it is built,
+and so is a direct(...) nested more than MAX_DIM deep, before the parser
+recurses that far: only zero-dimensional parts could keep it within MAX_DIM
+dimensions.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def corpus_expr(text: str) -> LieAlgebra:
         except ValueError:  # not digits, or past int()'s digit limit
             raise UnknownCorpusName("expected an integer, got %r" % tok[:20]) from None
 
-    def parse() -> LieAlgebra:
+    def parse(depth: int = 0) -> LieAlgebra:
         name = take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise UnknownCorpusName("expected a name, got %r" % name)
@@ -172,10 +175,13 @@ def corpus_expr(text: str) -> LieAlgebra:
         if peek() == "(":
             take("(")
             if name == "direct":
-                parts = [parse()]
+                if depth == MAX_DIM:
+                    raise UnknownCorpusName("direct(...) nested deeper than "
+                                            "MAX_DIM = %d" % MAX_DIM)
+                parts = [parse(depth + 1)]
                 while peek() == ",":
                     take(",")
-                    parts.append(parse())
+                    parts.append(parse(depth + 1))
                     _check_dim("direct(...)", sum(p.dim for p in parts))
                 take(")")
                 if len(parts) < 2:

@@ -8,6 +8,7 @@ synthesizes the antisymmetric counterparts.
 from __future__ import annotations
 
 import json
+import re
 from typing import Sequence
 
 from .chains import SubspaceFamily
@@ -33,17 +34,30 @@ def rational_to_str(x) -> str:
     return str(x)
 
 
+# Exponents are bounded like plain digit strings, which int() limits to 4,300
+# digits: Fraction expands "1e999999999" into a billion-digit integer.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
+
 def str_to_rational(text: str):
+    literal = str(text)
+    exponent = _EXPONENT.search(literal)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise AlgebraFileError("rational literal %r has an exponent beyond "
+                                   "+-%d" % (literal[:40], MAX_EXPONENT))
     try:
-        return qq(str(text))
+        return qq(literal)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise AlgebraFileError("bad rational literal %r" % (text,)) from exc
+        raise AlgebraFileError("bad rational literal %r" % (literal[:40],)) from exc
 
 
 def _checked_dim(data: dict, key: str) -> int:
     try:
         dim = int(data[key])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise AlgebraFileError("missing or non-integer %r field" % key)
     if not 0 <= dim <= MAX_DIM:
         raise AlgebraFileError("%r is %d, outside 0 .. MAX_DIM = %d"
@@ -88,14 +102,17 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
     if len(basis) != dim:
         raise AlgebraFileError("basis label count %d does not match dim %d"
                                % (len(basis), dim))
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise AlgebraFileError("'brackets' must be a list of bracket entries")
     c = [[[Q0] * dim for _ in range(dim)] for _ in range(dim)]
-    for pos, entry in enumerate(data.get("brackets", [])):
+    for pos, entry in enumerate(brackets):
         where = "bracket entry #%d" % pos
         if not isinstance(entry, dict):
             raise AlgebraFileError("%s is not an object" % where)
         try:
             i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise AlgebraFileError("%s lacks integer fields 'i', 'j'" % where)
         if not (0 <= i < dim and 0 <= j < dim):
             raise AlgebraFileError("%s has out-of-range index (i=%d, j=%d, dim=%d)"
@@ -117,13 +134,23 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
     return algebra
 
 
+def _read_json(path: str):
+    """The JSON value in a file; an unreadable file or value is an input error.
+
+    ValueError covers invalid JSON, bytes that are not UTF-8 and integers
+    past int()'s digit limit."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise AlgebraFileError("cannot read %r (%s)"
+                               % (path, exc.strerror or exc)) from exc
+    except ValueError as exc:
+        raise AlgebraFileError("not valid JSON (%s)" % exc) from exc
+
+
 def load_algebra(path: str) -> LieAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraFileError("not valid JSON (%s)" % exc) from exc
-    return algebra_from_dict(data)
+    return algebra_from_dict(_read_json(path))
 
 
 def save_algebra(algebra: LieAlgebra, path: str, name: str = ""):
@@ -136,8 +163,11 @@ def family_from_dict(data: dict) -> SubspaceFamily:
     if not isinstance(data, dict):
         raise AlgebraFileError("family file must contain a JSON object")
     ambient = _checked_dim(data, "ambient_dim")
+    raw = data.get("members", [])
+    if not isinstance(raw, list):
+        raise AlgebraFileError("'members' must be a list of matrices")
     members = []
-    for pos, rows in enumerate(data.get("members", [])):
+    for pos, rows in enumerate(raw):
         if not isinstance(rows, list):
             raise AlgebraFileError("family member #%d is not a matrix" % pos)
         for row in rows:
@@ -149,12 +179,7 @@ def family_from_dict(data: dict) -> SubspaceFamily:
 
 
 def load_family(path: str) -> SubspaceFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraFileError("not valid JSON (%s)" % exc) from exc
-    return family_from_dict(data)
+    return family_from_dict(_read_json(path))
 
 
 def family_to_dict(family: SubspaceFamily) -> dict:

@@ -373,9 +373,11 @@ def _verify_iso_witness(alg1: LieAlgebra, alg2: LieAlgebra, witness: Matrix):
 def subdirect_components(algebra: LieAlgebra) -> tuple:
     """Quotients onto subsimple algebras with kernels intersecting to zero.
 
-    One quotient per irreducible nilradical summand and one per simple
-    component of S that annihilates J.  C needs none: an element of C that
-    centralizes J is central in L, so lies in N = J, and C cap J = 0.
+    One quotient per irreducible nilradical summand, in the order of
+    ``J_summands``, then one per simple component of S that annihilates J.
+    C needs none: an element of C that centralizes J is central in L, so
+    lies in N = J, and C cap J = 0.  ``subdirect_classes`` reads each
+    quotient's subsimple class off its kernel.
     """
     decomposition = frattini_free_decomposition(algebra)
     c_part, s_part, j_part = decomposition.C, decomposition.S, decomposition.J
@@ -397,6 +399,26 @@ def subdirect_components(algebra: LieAlgebra) -> tuple:
     if not span_intersect(algebra.full_space(), *kernels).is_zero():
         raise AssertionError("subdirect kernels do not intersect to zero")
     return components
+
+
+def subdirect_classes(decomposition: FrattiniFreeDecomposition,
+                      components) -> tuple:
+    """The subsimple tag of each ``subdirect_components`` quotient.
+
+    The kernel that built a quotient fixes its class, so none is classified
+    again.  A summand J_i gives M + J_i, where M = (C + S)/ann(J_i) acts
+    faithfully and irreducibly.  M = 0 exactly when the quotient has
+    dimension 1; J_i is then a trivial irreducible module: OneDim.
+    Otherwise the quotient is ClassII.  Its nilradical maps onto a nilpotent
+    ideal of the reductive M, which is central in M; by Schur a central
+    element acts on J_i through a division algebra, so acting nilpotently
+    it acts as 0 and, M being faithful, is 0.  So the nilradical is J_i:
+    abelian, complemented by M, one summand, and C(J_i) = J_i.  A simple
+    component P of S gives a quotient isomorphic to P: Simple.
+    """
+    n_j = len(decomposition.J_summands)
+    return tuple("OneDim" if c.quotient.dim == 1 else "ClassII"
+                 for c in components[:n_j]) + ("Simple",) * (len(components) - n_j)
 
 
 def assemble_subdirect_embedding(components) -> tuple:

@@ -32,6 +32,7 @@ from .liealg import (
     ad_matrix,
     bracket_spaces,
     center,
+    centralizer,
     derived_series,
     embed_subspace,
     is_ideal,
@@ -45,7 +46,15 @@ from .liealg import (
     stable_derived_term,
     stable_lower_central_term,
 )
-from .linalg import Matrix, Q0, SpanBuilder, Subspace, nullspace_matrix, span_sum
+from .linalg import (
+    Matrix,
+    Q0,
+    SpanBuilder,
+    Subspace,
+    nullspace_matrix,
+    span_intersect,
+    span_sum,
+)
 from .modules import (
     Action,
     associative_envelope,
@@ -156,7 +165,14 @@ def levi_subalgebra(algebra: LieAlgebra) -> LeviDecomposition:
 
 
 def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
-    """Complement to rad; 0 at once for a solvable L, so no lift meets A = L."""
+    """Complement to rad; 0 at once for a solvable L, so no lift meets A = L.
+
+    The lift recurses on L/A with the radical R/A, never recomputing it:
+    for an ideal A of L inside R, R/A is a solvable ideal of L/A and
+    (L/A)/(R/A) = L/R is semisimple, so every solvable ideal of L/A maps to
+    0 in L/R and lies in R/A; that is, rad(L/A) = R/A.  Only L's own Levi
+    subalgebra is certified (``levi_subalgebra``).
+    """
     if rad.is_zero():
         return algebra.full_space()
     if rad.is_full():
@@ -166,7 +182,7 @@ def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
     last_nonzero = series.terms[series.stable_index - 1]
     abelian_layer = embed_subspace(rad_basis, last_nonzero)
     quot = quotient(algebra, abelian_layer)
-    upper_levi = levi_subalgebra(quot.quotient).levi
+    upper_levi = _levi_complement(quot.quotient, quot.push(rad))
     pulled = quot.pull(upper_levi)
     part_alg, part_basis = restrict_to_subalgebra(algebra, pulled)
     layer_coords = Subspace.span(
@@ -212,15 +228,19 @@ def jacobson_ideal(algebra: LieAlgebra) -> Subspace:
 
 @lru_cache(maxsize=None)
 def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
-    """Sum of the Levi components that commute with the radical."""
+    """S cap C_L(R) for a Levi subalgebra S and the radical R.
+
+    A semisimple ideal I has I cap R = 0 (a solvable ideal of I), so
+    [I, R] = 0 and [I + R, I + R] = I + [R, R].  A Levi subalgebra T of the
+    ideal I + R is perfect, so it lies in I + R^(k) for every k, hence in I,
+    and T = I by dimension.  S cap (I + R) is such a T, so I lies in S and
+    in C_L(R).  Conversely C_S(R) is a semisimple ideal of L: it is an ideal
+    of S by the Jacobi identity, as [S, R] lies in R, and [R, C_S(R)] = 0.
+    """
     levi = levi_subalgebra(algebra)
     if levi.levi.is_zero():
         return algebra.zero_space()
-    levi_alg, levi_basis = restrict_to_subalgebra(algebra, levi.levi)
-    components = [embed_subspace(levi_basis, comp)
-                  for comp in decompose_semisimple(levi_alg)]
-    total = span_sum(algebra.zero_space(), *[
-        c for c in components if bracket_spaces(algebra, c, levi.radical).is_zero()])
+    total = span_intersect(levi.levi, centralizer(algebra, levi.radical))
     if not total.is_zero():
         if not is_ideal(algebra, total):
             raise AssertionError("semisimple ideal candidate is not an ideal")

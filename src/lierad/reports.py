@@ -160,13 +160,11 @@ def analyze(algebra: LieAlgebra, name: str = "") -> dict:
         if not res:
             return None
         comps = fr.subdirect_components(algebra)
+        classes = fr.subdirect_classes(res.decomposition, comps)
         algebras, embedding = fr.assemble_subdirect_embedding(comps)
         return {
-            "components": [
-                {"dim": c.quotient.dim,
-                 "class": _guard(lambda c=c: fr.classify_subsimple(c.quotient).tag)}
-                for c in comps
-            ],
+            "components": [{"dim": c.quotient.dim, "class": tag}
+                           for c, tag in zip(comps, classes)],
             "verified": fr.verify_subdirect(algebras, embedding, algebra),
         }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from lierad.formats import (
     family_from_dict,
     load_algebra,
     save_algebra,
+    str_to_rational,
 )
 from lierad.liealg import MAX_DIM, is_abelian, validate
 from lierad.reports import analyze, report_to_json
@@ -259,3 +261,69 @@ def test_cli_refuses_a_basis_that_is_not_a_list_of_strings(basis, tmp_path, caps
     path.write_text(json.dumps(data))
     assert main(["analyze", str(path)]) == 2
     assert "list of label strings" in capsys.readouterr().err
+
+
+def one_line_input_error(argv, capsys) -> str:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ({"dim": 2, "brackets": 5}, ["analyze"], "'brackets' must be a list"),
+    ({"ambient_dim": 2, "members": 5}, ["chains", "meet"], "'members' must be a list"),
+], ids=["brackets", "members"])
+def test_cli_refuses_entry_lists_that_are_not_lists(data, argv, message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = argv[:1] + [str(path)] + argv[1:]
+    assert message in one_line_input_error(argv, capsys)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "No such file"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b'{"dim": 1, "basis": ["\xff"]}'), "utf-8"),
+    (lambda path: path.write_bytes(b'{"dim": ' + b"1" * 5000 + b"}"), "4300 digits"),
+], ids=["missing", "directory", "non-utf8", "long-integer"])
+@pytest.mark.parametrize("command", [["analyze"], ["chains", "meet"]],
+                         ids=["algebra", "family"])
+def test_cli_refuses_unreadable_files(make, message, command, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    make(path)
+    argv = command[:1] + [str(path)] + command[1:]
+    assert message in one_line_input_error(argv, capsys)
+
+
+@pytest.mark.parametrize("literal", ["1e4301", "1E-4301", "-2.5e+99999999",
+                                     "1e999999999", "1e0000000000009999",
+                                     "1e\u0669\u0669\u0669\u0669\u0669"])
+def test_exponents_past_the_digit_limit_are_refused(literal, tmp_path, capsys):
+    data = {"dim": 2, "brackets": [{"i": 0, "j": 1, "c": [literal, "0"]}]}
+    with pytest.raises(AlgebraFileError, match="exponent"):
+        algebra_from_dict(data)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert "exponent" in one_line_input_error(["analyze", str(path)], capsys)
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("3", 3), ("-3/4", Fraction(-3, 4)), ("0.5", Fraction(1, 2)),
+    ("1e3", 1000), ("25E-2", Fraction(1, 4)), ("1e0004300", 10 ** 4300), (7, 7)],
+    ids=["p", "p/q", "decimal", "exponent", "negative-exponent", "largest-exponent",
+         "json-int"])
+def test_rational_literals_within_the_bound_are_read(literal, value):
+    assert str_to_rational(literal) == value
+
+
+def test_cli_refuses_direct_nested_past_the_dimension_bound(capsys):
+    deep = "direct(" * 3000 + "sl2" + ",sl2)" * 3000
+    err = one_line_input_error(["analyze", "corpus:" + deep], capsys)
+    assert "nested deeper than MAX_DIM = %d" % MAX_DIM in err
+    shallow = "direct(" * MAX_DIM + "abelian(0)" + ",abelian(0))" * MAX_DIM
+    assert corpus_expr(shallow).dim == 0
+    with pytest.raises(UnknownCorpusName, match="nested deeper"):
+        corpus_expr("direct(" + shallow + ",abelian(0))")

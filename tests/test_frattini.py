@@ -31,6 +31,7 @@ from lierad.frattini import (
     jacobson_index,
     largest_abelian_ideal_frattini_free,
     nongenerator_check,
+    subdirect_classes,
     subdirect_components,
     assemble_subdirect_embedding,
     verify_subdirect,
@@ -429,6 +430,27 @@ def test_subdirect_components_sl2_v2_is_itself():
     assert len(comps) == 1
     assert comps[0].quotient.dim == 5
     assert classify_subsimple(comps[0].quotient).tag == "ClassII"
+
+
+def test_subdirect_classes_agree_with_classifying_each_component():
+    # why analyze reads the classes off the kernels: classify_subsimple of
+    # each quotient, the old computation, gives the same tags
+    pool = (suite_corpus() + random_semidirect_products(25, 20260810)
+            + random_semidirect_products(15, 1)
+            + [(e, corpus_expr(e)) for e in (
+                "direct(sl2,sl2_v2)", "direct(sl2sl2,abelian(2))",
+                "direct(aff1,aff1)", "direct(d1_v2,sl2)")])
+    seen = set()
+    for name, alg in pool:
+        free = is_frattini_free(alg)
+        if not free:
+            continue
+        comps = subdirect_components(alg)
+        classes = subdirect_classes(free.decomposition, comps)
+        assert classes == tuple(classify_subsimple(c.quotient).tag
+                                for c in comps), name
+        seen.update(classes)
+    assert seen == {"OneDim", "ClassII", "Simple"}
 
 
 def test_verify_subdirect_rejects_partial_projections():

@@ -18,6 +18,7 @@ from lierad.liealg import (
     bracket_spaces,
     center,
     change_basis,
+    derived_series,
     direct_product,
     embed_subspace,
     ideal_closure,
@@ -367,3 +368,120 @@ def test_restriction_roundtrip_inside_superposition():
     assert stable_derived_term(sub) == sub.full_space()
     assert bracket_spaces(sub, sub.full_space(), sub.full_space()) == \
         sub.full_space()
+
+
+STRUCTURE_EXTRAS = ("direct(sl2,sl2_v2)", "direct(sl2_v2,heis3)",
+                    "direct(sl2sl2,abelian(2))", "direct(aff1,aff1)",
+                    "direct(d1_v2,sl2)")
+
+
+@pytest.fixture(scope="module")
+def levi_pool():
+    """Suite corpus, seeded products and products with a nonzero Levi factor
+    over a radical of derived length 2 (direct(sl2,heis3) is in the corpus)."""
+    return (suite_corpus() + random_semidirect_products(25, 20260810)
+            + random_semidirect_products(15, 1)
+            + [(e, corpus_expr(e)) for e in STRUCTURE_EXTRAS])
+
+
+def lift_steps(alg):
+    """The (quotient, pushed radical) pairs the Levi lift recurses through."""
+    rad = solvable_radical(alg)
+    steps = []
+    while not rad.is_zero() and not rad.is_full():
+        rad_alg, rad_basis = restrict_to_subalgebra(alg, rad)
+        series = derived_series(rad_alg)
+        layer = embed_subspace(rad_basis, series.terms[series.stable_index - 1])
+        quot = quotient(alg, layer)
+        alg, rad = quot.quotient, quot.push(rad)
+        steps.append((alg, rad))
+    return steps
+
+
+def test_the_lift_pushes_the_radical_and_levi_of_each_quotient(levi_pool):
+    # why _levi_complement recurses on (L/A, R/A): rad(L/A) = R/A, so the
+    # old levi_subalgebra(L/A) of each quotient is the pushed recursion
+    deep = 0
+    for name, alg in levi_pool:
+        steps = lift_steps(alg)
+        for quot, pushed in steps:
+            assert solvable_radical(quot) == pushed, name
+            assert levi_subalgebra(quot).levi == \
+                radicals._levi_complement(quot, pushed), name
+        deep += len(steps) >= 2 and not levi_subalgebra(alg).levi.is_zero()
+    assert deep >= 2
+
+
+def test_the_levi_lift_certifies_no_quotient(monkeypatch):
+    seen = []
+
+    def spy(real):
+        def wrapper(alg):
+            seen.append((real.__name__, alg.dim))
+            return real(alg)
+        return wrapper
+
+    for expr in ("direct(sl2,heis3)", "direct(sl2_v2,heis3)", "sl2_v2"):
+        alg = corpus_expr(expr)
+        rad = solvable_radical(alg)
+        with monkeypatch.context() as patch:
+            patch.setattr(radicals, "levi_subalgebra", spy(levi_subalgebra))
+            patch.setattr(radicals, "solvable_radical", spy(solvable_radical))
+            levi = radicals._levi_complement(alg, rad)
+        assert seen == [], expr
+        assert levi == levi_subalgebra(alg).levi, expr
+
+
+def sum_of_commuting_simple_components(alg) -> Subspace:
+    """The former largest_semisimple_ideal: split the Levi factor into simple
+    components and keep those that commute with the radical."""
+    levi = levi_subalgebra(alg)
+    if levi.levi.is_zero():
+        return alg.zero_space()
+    levi_alg, levi_basis = restrict_to_subalgebra(alg, levi.levi)
+    parts = [embed_subspace(levi_basis, p) for p in decompose_semisimple(levi_alg)]
+    return span_sum(alg.zero_space(), *[
+        p for p in parts if bracket_spaces(alg, p, levi.radical).is_zero()])
+
+
+def test_largest_semisimple_ideal_is_the_levi_centralizer_of_rad(levi_pool):
+    nonzero = partial = 0
+    for name, alg in levi_pool:
+        value = largest_semisimple_ideal(alg)
+        assert value == sum_of_commuting_simple_components(alg), name
+        nonzero += not value.is_zero()
+        partial += 0 < value.dim < levi_subalgebra(alg).levi.dim
+    assert nonzero >= 5 and partial >= 1
+
+
+def test_levi_certificates_fire(monkeypatch):
+    # a non-subalgebra, a degenerate subalgebra and a semisimple subalgebra
+    # that misses a direction of L/R
+    sl2_v2, sl2sl2 = corpus("sl2_v2"), corpus("sl2sl2")
+    cases = (
+        (sl2_v2, span(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), "not a subalgebra"),
+        (sl2_v2, span(5, (0, 0, 1, 0, 0)), "not semisimple"),
+        (sl2sl2, span(6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                      (0, 0, 1, 0, 0, 0)), "does not complement"),
+    )
+    for alg, candidate, message in cases:
+        monkeypatch.setattr(radicals, "_levi_complement",
+                            lambda a, r, candidate=candidate: candidate)
+        with pytest.raises(AssertionError, match=message):
+            levi_subalgebra.__wrapped__(alg)
+
+
+def test_solvable_radical_certificates_fire(monkeypatch):
+    # the candidate is the nullspace the Killing rows give; replace it with a
+    # non-ideal line of V, with all of sl2_v2 and with 0
+    alg = corpus("sl2_v2")
+    cases = (
+        ([(0, 0, 0, 1, 0)], "not an ideal"),
+        ([[int(i == j) for j in range(5)] for i in range(5)], "not solvable"),
+        ([], "not semisimple"),
+    )
+    for rows, message in cases:
+        monkeypatch.setattr(radicals, "nullspace_matrix",
+                            lambda m, rows=rows: Matrix([list(r) for r in rows]))
+        with pytest.raises(AssertionError, match=message):
+            solvable_radical.__wrapped__(alg)
