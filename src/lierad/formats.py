@@ -55,9 +55,9 @@ def str_to_rational(text: str):
 
 
 def _checked_dim(data: dict, key: str) -> int:
-    try:
-        dim = int(data[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
+    dim = data.get(key)
+    # a JSON integer only: int() would read 2.7 as 2 and true as 1
+    if type(dim) is not int:
         raise AlgebraFileError("missing or non-integer %r field" % key)
     if not 0 <= dim <= MAX_DIM:
         raise AlgebraFileError("%r is %d, outside 0 .. MAX_DIM = %d"
@@ -110,9 +110,8 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
         where = "bracket entry #%d" % pos
         if not isinstance(entry, dict):
             raise AlgebraFileError("%s is not an object" % where)
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+        i, j = entry.get("i"), entry.get("j")
+        if type(i) is not int or type(j) is not int:
             raise AlgebraFileError("%s lacks integer fields 'i', 'j'" % where)
         if not (0 <= i < dim and 0 <= j < dim):
             raise AlgebraFileError("%s has out-of-range index (i=%d, j=%d, dim=%d)"

@@ -1,10 +1,10 @@
 """Associative envelopes, invariant-subspace search, module and ideal splitting.
 
-The engine behind the Levi construction, the nilradical, decomposability
-tests and the Frattini-free decision.  Complete reducibility is decided
-operationally: the unital associative envelope of the action must have zero
-trace radical (the characteristic-0 Dickson criterion), which needs no
-eigenvalue computations and stays inside Q.
+The engine behind the Levi construction, decomposability tests and the
+Frattini-free decision.  Complete reducibility is decided operationally: the
+unital associative envelope of the action must have zero trace radical (the
+characteristic-0 Dickson criterion), which needs no eigenvalue computations
+and stays inside Q.
 
 A returned submodule is always verified invariant before it is handed back.
 "No proper submodule" is certified when the envelope is all of M_n(Q)
@@ -179,23 +179,25 @@ def is_completely_reducible(action: Action) -> bool:
     return trace_radical(associative_envelope(action)).is_zero()
 
 
-def minimal_polynomial(m: Matrix) -> list:
-    """Monic minimal polynomial, constant coefficient first."""
-    n = m.rows
-    nn = n * n
-    powers = [Matrix.identity(n)]
-    builder = SpanBuilder(nn)
+def matrix_powers(m: Matrix) -> tuple[list, Matrix]:
+    """I, m, ..., m^(d-1), a basis of Q[m], and m^d, d = deg minpoly(m)."""
+    powers = [Matrix.identity(m.rows)]
+    builder = SpanBuilder(m.rows * m.rows)
     builder.add(powers[0].flatten())
     while True:
         nxt = powers[-1].mul(m)
-        if builder.contains(nxt.flatten()):
-            flats = [p.flatten() for p in powers]
-            system = Matrix([[f[t] for f in flats] for t in range(nn)])
-            coords = solve(system, nxt.flatten())
-            coeffs = [-c for c in coords] + [Q1]
-            return poly_trim(coeffs) or [Q1]
-        builder.add(nxt.flatten())
+        if not builder.add(nxt.flatten()):
+            return powers, nxt
         powers.append(nxt)
+
+
+def minimal_polynomial(m: Matrix) -> list:
+    """Monic minimal polynomial, constant coefficient first."""
+    powers, nxt = matrix_powers(m)
+    flats = [p.flatten() for p in powers]
+    system = Matrix([[f[t] for f in flats] for t in range(m.rows * m.rows)])
+    coeffs = [-c for c in solve(system, nxt.flatten())] + [Q1]
+    return poly_trim(coeffs) or [Q1]
 
 
 def _poly_of_matrix(p: Sequence, m: Matrix) -> Matrix:

@@ -2,15 +2,10 @@
 
 The solvable radical is the Killing-orthogonal of the derived subalgebra
 (Cartan, characteristic 0); the nilradical is cut out by trace conditions
-against a unital associative envelope, so no algebraic closure is ever
-needed.  That envelope is B, generated by ad over rad vectors independent
-modulo M = [L, rad], not A, generated by ad(rad); A = B + rad(A).  Proof:
-over the closure Lie's theorem makes ad(rad) triangular and ad M, nilpotent
-as M lies in the nilradical, strictly triangular, so ad M lies in rad(A);
-and tr(ad x * r) = 0 for x in rad, r in rad(A), so B and A give the same
-conditions.  The Levi complement is lifted stepwise along the derived
-series of a proper radical, one linear solve per abelian layer.  Semisimple
-algebras split into simple ideals through the centroid (primary
+against the powers of one generic element of ad(rad), so no algebraic
+closure is ever needed.  The Levi complement is lifted stepwise along the
+derived series of a proper radical, one linear solve per abelian layer.
+Semisimple algebras split into simple ideals through the centroid (primary
 decomposition of centroid elements, ``modules.direct_summands``), where a
 1-dim centroid of a semisimple summand certifies it simple.  The Jacobson
 ideal is [L, rad].
@@ -23,7 +18,7 @@ output, semisimple quotient, nilpotent ideal, nondegenerate complement).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 from .liealg import (
@@ -37,9 +32,9 @@ from .liealg import (
     embed_subspace,
     is_ideal,
     is_killing_nondegenerate,
+    is_nilpotent,
     is_subalgebra,
     killing_form,
-    lower_central_series,
     quotient,
     restrict_to_subalgebra,
     solvability_index,
@@ -55,12 +50,7 @@ from .linalg import (
     span_intersect,
     span_sum,
 )
-from .modules import (
-    Action,
-    associative_envelope,
-    direct_summands,
-    split_over_abelian_ideal,
-)
+from .modules import direct_summands, matrix_powers, split_over_abelian_ideal
 
 
 @dataclass(frozen=True)
@@ -111,15 +101,21 @@ def solvable_radical(algebra: LieAlgebra) -> Subspace:
 
 @lru_cache(maxsize=None)
 def nilradical(algebra: LieAlgebra) -> Subspace:
-    """Largest nilpotent ideal, via trace conditions against an envelope.
+    """Largest nilpotent ideal N, from the powers of one generic element.
 
-    N = {x in rad : tr(ad x * a) = 0 for all a in A}, A the unital envelope
-    of ad(rad) (Dickson's trace criterion).  The conditions are solved
-    against the smaller B, the unital envelope of ad over the rad basis
-    vectors independent modulo M = [L, rad], since A = B + rad(A):
-    by Lie's theorem ad(rad) is triangular over the closure and ad M lies in
-    the nilpotent ad(N), so it is strictly triangular there and in rad(A).
-    As ad x * r lies in rad(A) for r in rad(A), tr(ad x * r) = 0.
+    N = {x in rad : tr(ad x * z^j) = 0 for all j}, z = sum_i k^i g_i over the
+    ad g_i of the m rad basis vectors independent modulo M = [L, rad].
+    Proof.  Let A, B be the unital envelopes of ad(rad) and of the g_i.  By
+    Lie's theorem ad(rad) is triangular over the closure, so A/rad(A) is
+    commutative and x in rad lies in N iff ad x is in rad(A) iff
+    tr(ad x * A) = 0 (Dickson).  ad M lies in rad(A), so A = B + rad(A), and
+    rad(B) = B cap rad(A): the conditions depend on B/rad(B) only, a product
+    of fields with at most n characters chi over the closure.  z generates it
+    iff the chi(z) differ; chi(z) - chi'(z) is a nonzero polynomial in k of
+    degree < m, so at most (m - 1) n (n - 1) / 2 values of k fail (k = 1
+    gives z = 0 on ut(n), hence the start at 2).  Any z solves a set S
+    containing N, between M and rad and so an ideal, that is nilpotent only
+    if S = N: the first candidate that passes the certificate is N.
     """
     rad = solvable_radical(algebra)
     n = algebra.dim
@@ -131,21 +127,18 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
         builder.add(v)
     rad_ads = [ad_matrix(algebra, v) for v in rad.vectors()]
     gens = [a for v, a in zip(rad.vectors(), rad_ads) if builder.add(v)]
-    env = associative_envelope(Action(n, tuple(gens)))
-    rows = []
-    for b in env.basis:
-        rows.append([rad_ads[j].trace_of_product(b) for j in range(rad.dim)])
-    coords = nullspace_matrix(Matrix(rows))
-    result = embed_subspace(rad.basis, Subspace.span(rad.dim, coords.data))
-    if not is_ideal(algebra, result):
-        raise AssertionError("nilradical candidate is not an ideal")
-    if not result.is_zero():
-        sub, _ = restrict_to_subalgebra(algebra, result)
-        if not lower_central_series(sub).reaches_zero():
-            raise AssertionError("nilradical candidate is not nilpotent")
-    if not result.contains(commutator):
-        raise AssertionError("nilradical candidate misses [L, rad]")
-    return result
+    last_k = max(len(gens) - 1, 0) * n * (n - 1) // 2 + 2
+    for k in range(2, last_k + 1):
+        z = reduce(Matrix.add, [g.scale(k ** i) for i, g in enumerate(gens)],
+                   Matrix.zeros(n, n))
+        powers, _ = matrix_powers(z)
+        rows = [[a.trace_of_product(p) for a in rad_ads] for p in powers]
+        coords = nullspace_matrix(Matrix(rows))
+        result = embed_subspace(rad.basis, Subspace.span(rad.dim, coords.data))
+        if (result.contains(commutator) and is_ideal(algebra, result)
+                and is_nilpotent(restrict_to_subalgebra(algebra, result)[0])):
+            return result
+    raise AssertionError("no nilradical candidate passed for k = 2 .. %d" % last_k)
 
 
 @lru_cache(maxsize=None)

@@ -2,12 +2,15 @@
 
 These sweeps rewrite corpus fixtures in random unimodular bases, which
 forces the splitting solvers (Levi lifting, abelian-ideal complements,
-equivariant projections) onto genuinely non-axis-aligned inputs.
+equivariant projections) onto genuinely non-axis-aligned inputs, and in
+dense rational bases, where no structure of the corpus basis is left for
+the cost to depend on.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from lierad.corpus import corpus, corpus_expr
 from lierad.frattini import (
@@ -24,7 +27,7 @@ from lierad.frattini import (
 )
 from lierad.liealg import change_basis, validate
 from lierad.linalg import Matrix, Subspace, inverse, qq, rref
-from lierad.radicals import levi_subalgebra, nilradical, solvable_radical
+from lierad.radicals import REGISTRY, levi_subalgebra, nilradical, solvable_radical
 
 SEED = 20260810
 
@@ -39,6 +42,16 @@ def unimodular(rng: random.Random, n: int) -> Matrix:
         for t in range(n):
             rows[j][t] += c * rows[i][t]
     return Matrix(rows)
+
+
+def dense_rational(rng: random.Random, n: int) -> Matrix:
+    """Unit lower times unit upper triangular, every entry off the diagonal
+    p/q with |p| <= 5 and q <= 4: determinant 1, dense Fraction entries."""
+    def factor(keep):
+        return Matrix([[1 if i == j else
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if keep(i, j)
+                        else 0 for j in range(n)] for i in range(n)])
+    return factor(lambda i, j: j < i).mul(factor(lambda i, j: j > i))
 
 
 def transport(space: Subspace, t: Matrix) -> Subspace:
@@ -68,6 +81,19 @@ def test_invariants_transport_under_isomorphism():
         assert index_class(twisted)[0] == index_class(original)[0], expr
         assert classify_subsimple(twisted).tag == \
             classify_subsimple(original).tag, expr
+
+
+def test_every_preradical_transports_along_a_dense_rational_basis_change():
+    rng = random.Random(SEED + 3)
+    for expr in ("ut(4)", "ut(5)", "direct(sl2,heis3)"):
+        original = corpus_expr(expr)
+        t = dense_rational(rng, original.dim)
+        twisted = change_basis(original, t)
+        assert any(type(x) is Fraction for row in twisted.c for vec in row
+                   for x in vec), expr
+        for key, spec in REGISTRY.items():
+            assert transport(spec.evaluate(twisted), t) == \
+                spec.evaluate(original), (expr, key)
 
 
 def test_levi_and_frattini_free_survive_basis_mixing():

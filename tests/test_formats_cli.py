@@ -283,6 +283,31 @@ def test_cli_refuses_entry_lists_that_are_not_lists(data, argv, message, tmp_pat
     assert message in one_line_input_error(argv, capsys)
 
 
+@pytest.mark.parametrize("data, argv, message", [
+    ({"dim": 2.7, "basis": ["x", "y"]}, ["analyze"], "non-integer 'dim'"),
+    ({"dim": True}, ["analyze"], "non-integer 'dim'"),
+    ({"dim": "2"}, ["analyze"], "non-integer 'dim'"),
+    ({"ambient_dim": True}, ["chains", "meet"], "non-integer 'ambient_dim'"),
+    ({"ambient_dim": 1.0}, ["chains", "meet"], "non-integer 'ambient_dim'"),
+    ({"dim": 2, "brackets": [{"i": 0.0, "j": 1, "c": ["0", "0"]}]}, ["analyze"],
+     "lacks integer fields"),
+    ({"dim": 2, "brackets": [{"i": 0, "j": True, "c": ["0", "0"]}]}, ["analyze"],
+     "lacks integer fields"),
+    ({"dim": 2, "brackets": [{"i": "0", "j": 1, "c": ["0", "0"]}]}, ["analyze"],
+     "lacks integer fields"),
+], ids=["float-dim", "bool-dim", "string-dim", "bool-ambient-dim",
+        "float-ambient-dim", "float-i", "bool-j", "string-i"])
+def test_only_json_integers_are_dimensions_and_indices(data, argv, message, tmp_path,
+                                                       capsys):
+    load = family_from_dict if "ambient_dim" in data else algebra_from_dict
+    with pytest.raises(AlgebraFileError, match=message):
+        load(data)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = argv[:1] + [str(path)] + argv[1:]
+    assert message in one_line_input_error(argv, capsys)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda path: None, "No such file"),
     (lambda path: path.mkdir(), "Is a directory"),

@@ -1,9 +1,9 @@
 """Every registered preradical transports along basis changes (Hypothesis).
 
 The algebras are ``random_semidirect_products(1, seed)`` and the basis
-changes products of integer row operations, so both stay integral and small:
-a dense ``Fraction`` basis change can make the nilradical's envelope grow
-to its full size.
+changes products of integer row operations, so the drawn examples stay
+integral and small; dense ``Fraction`` basis changes of fixed algebras are
+swept in ``test_basis_independence.py``.
 """
 
 from __future__ import annotations

@@ -24,12 +24,13 @@ from lierad.liealg import (
     ideal_closure,
     is_ideal,
     is_killing_nondegenerate,
+    is_nilpotent,
     quotient,
     restrict_to_subalgebra,
     stable_derived_term,
 )
 from lierad.linalg import Matrix, Subspace, nullspace_matrix, qq, solve, span_sum
-from lierad.modules import Action, Envelope, associative_envelope
+from lierad.modules import Action, associative_envelope
 from lierad.radicals import (
     DERIVED_MAP,
     PreradicalSpec,
@@ -123,18 +124,36 @@ def test_nilradical_equals_the_full_envelope_computation():
 
 
 def test_nilradical_certificate_fires_on_a_scalars_only_envelope(monkeypatch):
-    # tr(ad v) = 0 alone keeps h1 - h2 in direct(aff1,aff1) (basis h1, x1,
-    # h2, x2 with [h, x] = x): an ideal, not nilpotent as [h1 - h2, x1] = x1
-    def scalars_only(action):
-        n = action.carrier_dim
-        return Envelope(n, (Matrix.identity(n),))
+    # ut(3), basis E11, E12, E13, E22, E23, E33: the generators are ad E11,
+    # ad E22 and ad E33, so k = 1 gives z = ad(E11 + E22 + E33) = 0, whose
+    # powers span only the scalars.  tr(ad x) = 0 alone keeps E22 and
+    # E11 + E33: an ideal containing [L, rad], not nilpotent
+    alg = corpus("ut", 3)
+    assert ad_matrix(alg, (1, 0, 0, 1, 0, 1)).is_zero()
+    verdicts = []
 
-    monkeypatch.setattr(radicals, "associative_envelope", scalars_only)
+    def spy(sub):
+        verdicts.append((sub.dim, is_nilpotent(sub)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(radicals, "is_nilpotent", spy)
+    # the k = 1 element every time: m = 3 generators and n = 6 allow at most
+    # (m - 1) n (n - 1) / 2 = 30 bad k, so the loop stops after 31
+    real_powers = radicals.matrix_powers
+    monkeypatch.setattr(radicals, "matrix_powers",
+                        lambda z: real_powers(z.scale(0)))
     nilradical.cache_clear()
     try:
-        with pytest.raises(AssertionError,
-                           match="nilradical candidate is not nilpotent"):
-            nilradical(corpus_expr("direct(aff1,aff1)"))
+        with pytest.raises(AssertionError, match=r"k = 2 \.\. 32$"):
+            nilradical(alg)
+        assert verdicts == [(5, False)] * 31
+        # unforced, k = 2 is generic: the first candidate passes
+        monkeypatch.setattr(radicals, "matrix_powers", real_powers)
+        verdicts.clear()
+        # the strictly upper triangular part and the identity
+        assert nilradical(alg) == span(6, (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+                                       (0, 0, 0, 0, 1, 0), (1, 0, 0, 1, 0, 1))
+        assert verdicts == [(4, True)]
     finally:
         nilradical.cache_clear()
 
