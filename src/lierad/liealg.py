@@ -4,6 +4,14 @@ A ``LieAlgebra`` is a dimension, basis labels and the tensor c with
 c[i][j] = coordinates of [b_i, b_j].  All operations are pure functions on
 immutable values: brackets, closures, centers, the two canonical series,
 the Killing form, derivations, quotients and product constructions.
+
+Most tensors are sparse (ut(n) has about one nonzero coordinate per four
+pairs (i, j)), so the kernel reads them through ``LieAlgebra.support``, the
+nonzero c[i][j] with the indices of their nonzero coordinates, as in de
+Graaf, *Lie Algebras: Theory and Algorithms* (2000), ch. 1: ``bracket``,
+``ad_matrix``, ``centralizer`` and the Jacobi sums of ``validate`` touch only
+those entries.  The support is read from the dense tensor, so none of them
+assumes antisymmetry.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .linalg import (
+    _INTS,
     Matrix,
     Q0,
     Q1,
@@ -42,20 +51,23 @@ class ContractError(ValueError):
 class LieAlgebra:
     """Structure-constant presentation of a finite-dimensional Lie algebra."""
 
-    __slots__ = ("dim", "labels", "c", "_hash")
+    __slots__ = ("dim", "labels", "c", "_hash", "_support")
 
     def __init__(self, dim: int, labels: Sequence[str], c):
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
         if len(c) != dim or any(len(row) != dim for row in c):
             raise ValueError("structure tensor is not dim x dim")
-        tensor = tuple(tuple(tuple(qq(x) for x in cij) for cij in row) for row in c)
+        tensor = tuple(tuple(
+            cij if type(cij) is tuple and _INTS.issuperset(map(type, cij))
+            else tuple(qq(x) for x in cij) for cij in row) for row in c)
         if any(len(cij) != dim for row in tensor for cij in row):
             raise ValueError("bracket coordinate vector has wrong length")
         self.dim = dim
         self.labels = tuple(str(x) for x in labels)
         self.c = tensor
         self._hash = None
+        self._support = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
@@ -68,6 +80,20 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return "LieAlgebra(dim=%d, labels=%r)" % (self.dim, list(self.labels))
+
+    @property
+    def support(self) -> tuple:
+        """Per i, ``(j, c[i][j], ks)`` for each nonzero c[i][j], with ``ks``
+        the tuple of its nonzero coordinates k.
+
+        Computed on first use and kept: the tensor is immutable.
+        """
+        if self._support is None:
+            self._support = tuple(
+                tuple([(j, cij, tuple([k for k, x in enumerate(cij) if x]))
+                       for j, cij in enumerate(ci) if any(cij)])
+                for ci in self.c)
+        return self._support
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(Q1 if j == i else Q0 for j in range(self.dim))
@@ -121,7 +147,13 @@ class SeriesResult:
 
 
 def validate(algebra: LieAlgebra) -> ValidationReport:
-    """Check antisymmetry and the Jacobi identity, listing every violation."""
+    """Check antisymmetry and the Jacobi identity, listing every violation.
+
+    Antisymmetry compares c[i][j] with -c[j][i] for i <= j.  Each triple
+    i < j < k whose Jacobi sum is nonzero is listed, in lexicographic order;
+    the sum [b_a, [b_b, b_d]] over the three cyclic orders is formed from
+    the support only, so the zero parts of the tensor cost nothing.
+    """
     n = algebra.dim
     c = algebra.c
     anti = []
@@ -131,49 +163,69 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
             rhs = c[j][i]
             if any(a != -b for a, b in zip(lhs, rhs)):
                 anti.append((i, j))
+    # nonzero[a][b]: (c[a][b], its nonzero coordinates), for nonzero c[a][b]
+    nonzero = [{j: (cij, ks) for j, cij, ks in row} for row in algebra.support]
     jac = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 total = [Q0] * n
                 for (a, b, d) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = c[b][d]
-                    for m, coeff in enumerate(inner):
-                        if coeff != 0:
-                            outer = c[a][m]
-                            for t in range(n):
-                                if outer[t] != 0:
-                                    total[t] += coeff * outer[t]
-                if any(x != 0 for x in total):
+                    inner = nonzero[b].get(d)
+                    if inner is None:
+                        continue
+                    outer_a = nonzero[a]
+                    inner_c, inner_ks = inner
+                    for m in inner_ks:
+                        outer = outer_a.get(m)
+                        if outer is not None:
+                            coeff = inner_c[m]
+                            outer_c, outer_ks = outer
+                            for t in outer_ks:
+                                total[t] += coeff * outer_c[t]
+                if any(total):
                     jac.append((i, j, k))
     return ValidationReport(not anti and not jac, tuple(anti), tuple(jac))
 
 
 def bracket(algebra: LieAlgebra, u: Sequence, v: Sequence) -> tuple:
+    """[u, v] = sum of u_i v_j c[i][j] over the nonzero u_i and the support
+    of row i; antisymmetry is not assumed."""
     n = algebra.dim
     if len(u) != n or len(v) != n:
         raise ValueError("vector length does not match algebra dimension")
     out = [Q0] * n
-    c = algebra.c
+    support = algebra.support
     for i, a in enumerate(u):
         if not a:
             continue
-        ci = c[i]
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            ab = a * b
-            for k, x in enumerate(ci[j]):
-                if x:
-                    out[k] += ab * x
+        for j, cij, ks in support[i]:
+            b = v[j]
+            if b:
+                ab = a * b
+                for k in ks:
+                    out[k] += ab * cij[k]
     return tuple(out)
 
 
 def ad_matrix(algebra: LieAlgebra, v: Sequence) -> Matrix:
-    """Matrix of ad(v): w -> [v, w] in the defining basis."""
+    """Matrix of ad(v): w -> [v, w] in the defining basis.
+
+    Column j is [v, b_j]: entry (k, j) sums v_i c[i][j][k] over the nonzero
+    v_i and the support of row i.
+    """
     n = algebra.dim
-    cols = [bracket(algebra, v, algebra.basis_vector(j)) for j in range(n)]
-    return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    if len(v) != n:
+        raise ValueError("vector length does not match algebra dimension")
+    rows = [[Q0] * n for _ in range(n)]
+    support = algebra.support
+    for i, a in enumerate(v):
+        if not a:
+            continue
+        for j, cij, ks in support[i]:
+            for k in ks:
+                rows[k][j] += a * cij[k]
+    return Matrix(rows, cols=n)
 
 
 def ad_of_basis(algebra: LieAlgebra) -> tuple:
@@ -189,16 +241,21 @@ def bracket_spaces(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
 
     The tensor is assumed antisymmetric (as ``_is_lie_homomorphism`` does):
     when U == V only the pairs i < j are bracketed, since [y, x] = -[x, y]
-    and [x, x] = 0 add nothing to the span.
+    and [x, x] = 0 add nothing to the span.  Each pair is bracketed once;
+    zero and repeated brackets are dropped before the span, which they do
+    not change.
     """
     if u.ambient_dim != algebra.dim or v.ambient_dim != algebra.dim:
         raise ValueError("vector length does not match algebra dimension")
     xs = u.vectors()
     if u == v:
-        vecs = [bracket(algebra, x, y)
-                for i, x in enumerate(xs) for y in xs[i + 1:]]
+        pairs = ((x, y) for i, x in enumerate(xs) for y in xs[i + 1:])
     else:
-        vecs = [bracket(algebra, x, y) for x in xs for y in v.vectors()]
+        pairs = ((x, y) for x in xs for y in v.vectors())
+    # the span depends neither on order nor on multiplicity; a dict keeps
+    # the first occurrence of each bracket, so the row order is fixed
+    vecs = dict.fromkeys(bracket(algebra, x, y) for x, y in pairs)
+    vecs.pop((Q0,) * algebra.dim, None)
     return Subspace.span(algebra.dim, vecs)
 
 
@@ -222,17 +279,31 @@ def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
 
 
 def centralizer(algebra: LieAlgebra, space: Subspace) -> Subspace:
-    """{x : [x, U] = 0}, via the stacked linear system."""
+    """{x : [x, U] = 0}, the common kernel of x -> [x, u] over U's basis.
+
+    Row k of the block of u is {i: [b_i, u]_k}, the sum of u_j c[i][j][k]
+    over the support, so only nonzero entries are formed; on an
+    antisymmetric tensor the block is -ad(u).  The blocks are stacked as
+    sparse rows for ``nullspace_sparse``.  For U = 0, or when every row is
+    empty, the answer is the whole space.
+    """
     n = algebra.dim
+    if space.ambient_dim != n:
+        raise ValueError("vector length does not match algebra dimension")
+    support = algebra.support
     rows = []
     for u in space.vectors():
-        # condition on x: bracket(x, u) = 0; row block M with M[k][i] = [b_i, u]_k
-        cols = [bracket(algebra, algebra.basis_vector(i), u) for i in range(n)]
-        for k in range(n):
-            rows.append([cols[i][k] for i in range(n)])
+        block = [{} for _ in range(n)]
+        for i, row in enumerate(support):
+            for j, cij, ks in row:
+                a = u[j]
+                if a:
+                    for k in ks:
+                        block[k][i] = block[k].get(i, Q0) + a * cij[k]
+        rows.extend(r for r in block if r)
     if not rows:
         return algebra.full_space()
-    ker = nullspace_matrix(Matrix(rows))
+    ker = nullspace_sparse(rows, n)
     return Subspace.span(n, ker.data)
 
 

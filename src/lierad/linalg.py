@@ -518,12 +518,11 @@ class Subspace:
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
         v = [x if type(x) is int else qq(x) for x in vec]
-        for brow, p in zip(self.basis.data, self.pivots):
+        for srow, p in zip(self.basis.support, self.pivots):
             c = v[p]
             if c:
-                for j, b in enumerate(brow):
-                    if b:
-                        v[j] -= c * b
+                for j, b in srow:
+                    v[j] -= c * b
         return tuple(v)
 
     def contains_vector(self, vec: Sequence) -> bool:

@@ -8,7 +8,11 @@ the defining properties of minimal polynomials; Hypothesis checks that
 ``qq`` and ``div`` land in the scalar domain, that ``rref`` sees only the
 row space, that ``nullspace_sparse`` does not depend on the order of its
 rows and that many-argument ``span_sum`` and ``span_intersect`` equal the
-pairwise fold.
+pairwise fold.  The structure-constant kernels that read only the tensor's
+nonzeros (``bracket``, ``ad_matrix``, ``centralizer``, ``validate``) and
+``Subspace.reduce`` are compared, on Hypothesis tensors that need not be
+antisymmetric or satisfy Jacobi, with dense references written out here
+and, for the centralizer, with sympy.
 """
 
 from __future__ import annotations
@@ -21,11 +25,19 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lierad.acceptance import random_semidirect_products  # noqa: E402
 from lierad.corpus import corpus  # noqa: E402
-from lierad.liealg import derivation_algebra, killing_form  # noqa: E402
+from lierad.liealg import (  # noqa: E402
+    LieAlgebra,
+    ad_matrix,
+    bracket,
+    centralizer,
+    derivation_algebra,
+    killing_form,
+    validate,
+)
 from lierad.linalg import (  # noqa: E402
     Matrix,
     SpanBuilder,
@@ -422,3 +434,153 @@ def test_minimal_polynomial_matches_its_definition():
         for f in factors:
             smaller = sympy.Poly(sympy.quo(poly.as_expr(), f, x), x)
             assert not poly_at(list(reversed(smaller.all_coeffs())), m).is_zero_matrix, rows
+
+
+# Dense references for the structure-constant kernels: every entry of every
+# c[i][j] is visited, as the kernels did before they read the support.
+
+def dense_bracket(alg, u, v) -> tuple:
+    n = alg.dim
+    out = [0] * n
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        ci = alg.c[i]
+        for j, b in enumerate(v):
+            if not b:
+                continue
+            ab = a * b
+            for k, x in enumerate(ci[j]):
+                if x:
+                    out[k] += ab * x
+    return tuple(out)
+
+
+def dense_violations(alg) -> tuple:
+    n = alg.dim
+    c = alg.c
+    anti = []
+    for i in range(n):
+        for j in range(i, n):
+            if any(a != -b for a, b in zip(c[i][j], c[j][i])):
+                anti.append((i, j))
+    jac = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [0] * n
+                for (a, b, d) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, coeff in enumerate(c[b][d]):
+                        if coeff != 0:
+                            outer = c[a][m]
+                            for t in range(n):
+                                if outer[t] != 0:
+                                    total[t] += coeff * outer[t]
+                if any(x != 0 for x in total):
+                    jac.append((i, j, k))
+    return tuple(anti), tuple(jac)
+
+
+def dense_reduce(space, vec) -> tuple:
+    v = [qq(x) for x in vec]
+    for brow, p in zip(space.basis.data, space.pivots):
+        c = v[p]
+        if c:
+            for j, b in enumerate(brow):
+                if b:
+                    v[j] -= c * b
+    return tuple(v)
+
+
+def sparse_vector(rng, n: int, density: float) -> list:
+    return [random_entry(rng) if rng.random() < density else 0 for _ in range(n)]
+
+
+densities = st.sampled_from((0.0, 0.15, 0.4, 1.0))
+
+
+@st.composite
+def tensors(draw):
+    """Algebras of dimension 0-6 with ``random_entry`` coordinates at a drawn
+    density; antisymmetric on request, Jacobi only by chance."""
+    n = draw(st.integers(0, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(densities)
+    c = [[sparse_vector(rng, n, density) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            c[i][i] = [0] * n
+            for j in range(i):
+                c[i][j] = [-x for x in c[j][i]]
+    return LieAlgebra(n, ["x%d" % i for i in range(n)], c)
+
+
+LIE_ALGEBRAS = [corpus("sl2"), corpus("heis3"), corpus("ut", 3), corpus("aff1")]
+LIE_ALGEBRAS += [alg for _, alg in random_semidirect_products(12, SEED) if alg.dim <= 6]
+
+
+@st.composite
+def perturbed_lie_algebras(draw):
+    """A Lie algebra of dimension at most 6 with up to two coordinates
+    replaced: Jacobi fails on some triples and holds on the others."""
+    alg = draw(st.sampled_from(LIE_ALGEBRAS))
+    rng = draw(st.randoms(use_true_random=False))
+    c = [[list(cij) for cij in ci] for ci in alg.c]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+        c[i][j][k] = random_entry(rng)
+    return LieAlgebra(alg.dim, alg.labels, c)
+
+
+@st.composite
+def tensor_and_vectors(draw, count: int):
+    alg = draw(tensors())
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(densities)
+    return alg, [sparse_vector(rng, alg.dim, density) for _ in range(count)]
+
+
+@given(tensor_and_vectors(2))
+def test_bracket_and_ad_matrix_match_the_dense_reference(drawn):
+    alg, (u, v) = drawn
+    assert bracket(alg, u, v) == dense_bracket(alg, u, v)
+    ad = ad_matrix(alg, u)
+    assert (ad.rows, ad.cols) == (alg.dim, alg.dim)
+    for j in range(alg.dim):
+        assert ad.column(j) == dense_bracket(alg, u, alg.basis_vector(j))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_centralizer_matches_sympy(data):
+    alg, vecs = data.draw(tensor_and_vectors(data.draw(st.integers(0, 3))))
+    n = alg.dim
+    space = Subspace.span(n, vecs)
+    # block of u: row k holds [b_i, u]_k over i, so x is in the kernel of
+    # every block iff [x, u] = 0 for each basis vector u of U
+    rows = []
+    for u in space.vectors():
+        cols = [dense_bracket(alg, alg.basis_vector(i), u) for i in range(n)]
+        rows.extend([sym(cols[i][k]) for i in range(n)] for k in range(n))
+    if rows:
+        kernel = sympy.Matrix(rows).nullspace()
+        expected = Subspace.span(n, [[from_sympy(x) for x in k] for k in kernel])
+    else:
+        expected = Subspace.full(n)
+    assert centralizer(alg, space) == expected
+
+
+@given(st.one_of(tensors(), perturbed_lie_algebras()))
+def test_validate_matches_the_dense_reference(alg):
+    report = validate(alg)
+    anti, jac = dense_violations(alg)
+    assert (report.antisymmetry_violations, report.jacobi_violations) == (anti, jac)
+    assert report.ok == (not anti and not jac)
+
+
+@given(tensor_and_vectors(4))
+def test_reduce_matches_the_dense_reference(drawn):
+    alg, vecs = drawn
+    space = Subspace.span(alg.dim, vecs[:3])
+    for vec in vecs:
+        assert space.reduce(vec) == dense_reduce(space, vec)

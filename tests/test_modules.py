@@ -128,6 +128,24 @@ def test_envelope_of_natural_sl2_is_full_matrix_algebra():
     assert trace_radical(env).is_zero()
 
 
+def test_trace_radical_nilpotency_certificate_fires(monkeypatch):
+    # the candidate is the kernel of the trace form; replace it with every
+    # envelope coordinate, which spans the identity and so is not nilpotent
+    natural_sl2 = Action(2, (Matrix([[0, 1], [0, 0]]),
+                             Matrix([[0, 0], [1, 0]]), diag(1, -1)))
+    for action in (natural_sl2, ad_action(corpus("heis3"))):
+        env = associative_envelope(action)
+        honest = trace_radical(env)
+        assert honest.dim < len(env.basis)
+        with monkeypatch.context() as patch:
+            patch.setattr(modules_module, "nullspace_matrix",
+                          lambda m: Matrix.identity(m.cols))
+            with pytest.raises(AssertionError,
+                               match="trace radical failed its nilpotency certificate"):
+                trace_radical(env)
+        assert trace_radical(env) == honest
+
+
 def test_trace_radical_of_scalars_is_zero():
     env = associative_envelope(Action(2, ()))
     assert trace_radical(env).is_zero()
