@@ -182,9 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full analysis report")
     p.add_argument("target", help="file path or corpus:EXPR")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", default=True)
-    group.add_argument("--text", action="store_true")
+    p.add_argument("--text", action="store_true",
+                   help="render the report as text instead of JSON")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("radical", help="evaluate a named radical")

@@ -182,7 +182,6 @@ def is_frattini_free(algebra: LieAlgebra) -> FrattiniFreeResult:
     if complement is None:
         return FrattiniFreeResult(
             False, failed_condition="no subalgebra complement to the nilradical")
-    comp_alg, comp_basis = restrict_to_subalgebra(algebra, complement)
     action = restricted_ad_action(algebra, complement.vectors(), nil)
     try:
         j_summands = decompose_module(action)
@@ -190,10 +189,11 @@ def is_frattini_free(algebra: LieAlgebra) -> FrattiniFreeResult:
         return FrattiniFreeResult(
             False,
             failed_condition="complement acts non-semisimply on the nilradical")
-    c_part = embed_subspace(comp_basis, center(comp_alg))
-    s_part = embed_subspace(
-        comp_basis,
-        bracket_spaces(comp_alg, comp_alg.full_space(), comp_alg.full_space()))
+    # read in L: the center of the complement M is the set of elements of M
+    # that centralize M, and [M, M] spans the same subspace in M's
+    # coordinates as in L's
+    c_part = span_intersect(complement, centralizer(algebra, complement))
+    s_part = bracket_spaces(algebra, complement, complement)
     summands = tuple(embed_subspace(nil.basis, s) for s in j_summands)
     decomposition = FrattiniFreeDecomposition(C=c_part, S=s_part, J=nil,
                                               J_summands=summands)

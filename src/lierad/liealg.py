@@ -17,7 +17,7 @@ assumes antisymmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -26,6 +26,7 @@ from .linalg import (
     Q0,
     Q1,
     Subspace,
+    closure,
     inverse,
     matrix_from_flat,
     nullspace_matrix,
@@ -34,7 +35,6 @@ from .linalg import (
     rank,
     rref,
     solve,
-    span_sum,
 )
 
 
@@ -259,23 +259,24 @@ def bracket_spaces(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     return Subspace.span(algebra.dim, vecs)
 
 
+def _ad_closure(algebra: LieAlgebra, seed: Subspace, acting) -> Subspace:
+    """The smallest subspace containing the seed and invariant under ad of
+    each acting vector."""
+    maps = [partial(bracket, algebra, x) for x in acting]
+    return Subspace.span(algebra.dim, closure(algebra.dim, seed.vectors(), maps))
+
+
 def subalgebra_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
-    current = seed
-    while True:
-        grown = span_sum(current, bracket_spaces(algebra, current, current))
-        if grown == current:
-            return current
-        current = grown
+    """The subalgebra generated by the seed: its ad(seed)-closure, since by
+    the Jacobi identity the right-normed brackets [s_1, [s_2, ... s_k]] of
+    seed vectors span it."""
+    return _ad_closure(algebra, seed, seed.vectors())
 
 
 def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
-    current = seed
-    full = algebra.full_space()
-    while True:
-        grown = span_sum(current, bracket_spaces(algebra, full, current))
-        if grown == current:
-            return current
-        current = grown
+    """The ideal generated by the seed: its ad(L)-closure."""
+    return _ad_closure(algebra, seed,
+                       [algebra.basis_vector(i) for i in range(algebra.dim)])
 
 
 def centralizer(algebra: LieAlgebra, space: Subspace) -> Subspace:
@@ -312,8 +313,8 @@ def center(algebra: LieAlgebra) -> Subspace:
     return centralizer(algebra, algebra.full_space())
 
 
-def _series(algebra: LieAlgebra, step) -> SeriesResult:
-    terms = [algebra.full_space()]
+def _series(start: Subspace, step) -> SeriesResult:
+    terms = [start]
     while True:
         nxt = step(terms[-1])
         if nxt == terms[-1]:
@@ -323,13 +324,13 @@ def _series(algebra: LieAlgebra, step) -> SeriesResult:
 
 @lru_cache(maxsize=None)
 def derived_series(algebra: LieAlgebra) -> SeriesResult:
-    return _series(algebra, lambda t: bracket_spaces(algebra, t, t))
+    return _series(algebra.full_space(), lambda t: bracket_spaces(algebra, t, t))
 
 
 @lru_cache(maxsize=None)
 def lower_central_series(algebra: LieAlgebra) -> SeriesResult:
     full = algebra.full_space()
-    return _series(algebra, lambda t: bracket_spaces(algebra, full, t))
+    return _series(full, lambda t: bracket_spaces(algebra, full, t))
 
 
 def solvability_index(algebra: LieAlgebra) -> Optional[int]:
@@ -566,25 +567,15 @@ def ideal_closure_series(algebra: LieAlgebra, space: Subspace):
     """Descending ideal-closure series J^0 = L, J^{k+1} = Id_{J^k}(S).
 
     Returns (terms, depth) where depth is the least n with J^n = S when the
-    series reaches S, else None (S is not a subideal).
+    series reaches S, else None (S is not a subideal).  Id_{J^k}(S) is the
+    ad(J^k)-closure of S, read in L's own coordinates; at S it is S itself.
     """
     if not is_subalgebra(algebra, space):
         raise ContractError("subideal test requires a subalgebra")
-    terms = [algebra.full_space()]
-    current_alg = algebra
-    while True:
-        current = terms[-1]
-        if current == space:
-            return tuple(terms), len(terms) - 1
-        # coordinates of the seed inside the current term
-        seed = Subspace.span(current_alg.dim,
-                             [current.coords_of(v) for v in space.vectors()])
-        closed = ideal_closure(current_alg, seed)
-        nxt = embed_subspace(current.basis, closed)
-        if nxt == current:
-            return tuple(terms), None
-        terms.append(nxt)
-        current_alg, _ = restrict_to_subalgebra(algebra, nxt)
+    series = _series(algebra.full_space(),
+                     lambda t: _ad_closure(algebra, space, t.vectors()))
+    reached = series.stable_term() == space
+    return series.terms, series.stable_index if reached else None
 
 
 def direct_product(algebras: Sequence[LieAlgebra]) -> LieAlgebra:
@@ -707,22 +698,14 @@ def operator_semidirect(operators: Sequence[Matrix],
     for op in operators:
         if op.rows != k or op.cols != k:
             raise ContractError("operators must be square of equal size")
-    flat = Subspace.span(k * k, [op.flatten() for op in operators])
-    while True:
-        mats = [matrix_from_flat(v, k, k) for v in flat.vectors()]
-        extra = []
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                comm = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
-                if not flat.contains_vector(comm.flatten()):
-                    extra.append(comm.flatten())
-        if not extra:
-            break
-        flat = span_sum(flat, Subspace.span(k * k, extra))
-    original = Subspace.span(k * k, [op.flatten() for op in operators])
-    use_given = (original == flat and len(operators) == flat.dim)
-    mats = list(operators) if use_given else \
-        [matrix_from_flat(v, k, k) for v in flat.vectors()]
+    # the Lie closure: right-normed commutators of the operators span it
+    closed = closure(k * k, operators,
+                     [lambda x, g=g: g.mul(x).sub(x.mul(g)) for g in operators],
+                     Matrix.flatten)
+    # the given operators are kept when they already form a basis of it
+    mats = list(operators) if closed == list(operators) else \
+        [matrix_from_flat(v, k, k)
+         for v in Subspace.span(k * k, [m.flatten() for m in closed]).vectors()]
     m = len(mats)
     # coordinates in the basis `mats` itself (columns = flattened operators)
     flats = [op.flatten() for op in mats]

@@ -548,9 +548,9 @@ class SpanBuilder:
     """Incrementally maintained row-reduced spanning set.
 
     Cheaper than recanonicalizing a Subspace on every insertion when growing
-    spans one vector at a time (envelopes, spinning, closures).  ``rows``
-    are primitive integer vectors, in insertion order, each with a positive
-    entry at its pivot and zeros at the pivots of the rows before it.
+    spans one vector at a time (``closure``).  ``rows`` are primitive
+    integer vectors, in insertion order, each with a positive entry at its
+    pivot and zeros at the pivots of the rows before it.
     """
 
     __slots__ = ("ambient_dim", "rows", "_reducers")
@@ -613,6 +613,31 @@ class SpanBuilder:
         return Subspace.span(self.ambient_dim, self.rows)
 
 
+def closure(dim: int, seeds: Iterable, maps: Sequence = (), flat=None) -> list:
+    """The seeds, then every image under the maps, that enlarge their span.
+
+    Elements are kept in the order found: each seed that enlarges the span,
+    then, depth first from the last element found, its images under each
+    map in turn.  ``flat`` reads an element as a vector of Q^dim (elements
+    are such vectors when it is None).  For linear maps the result spans
+    the smallest subspace that contains the seeds and is invariant under
+    every map (a spinning closure; de Graaf, *Lie Algebras: Theory and
+    Algorithms*, 2000).
+    """
+    builder = SpanBuilder(dim)
+    add = builder.add if flat is None else lambda x: builder.add(flat(x))
+    found = [x for x in seeds if add(x)]
+    frontier = list(found)
+    while frontier:
+        x = frontier.pop()
+        for f in maps:
+            y = f(x)
+            if add(y):
+                found.append(y)
+                frontier.append(y)
+    return found
+
+
 def _common_ambient(spaces: Sequence[Subspace]) -> int:
     n = spaces[0].ambient_dim
     if any(s.ambient_dim != n for s in spaces):
@@ -649,10 +674,7 @@ def complement_codim(z: Subspace, y: Subspace) -> tuple[Matrix, int]:
     dim(Z/(Y∩Z)) = dim((Y+Z)/Y).
     """
     inter = span_intersect(y, z)
-    builder = SpanBuilder(z.ambient_dim)
-    for vec in inter.vectors():
-        builder.add(vec)
-    picked = [vec for vec in z.vectors() if builder.add(vec)]
+    picked = closure(z.ambient_dim, inter.vectors() + z.vectors())[inter.dim:]
     codim = z.dim - inter.dim
     comp = (Matrix(picked, cols=z.ambient_dim) if picked
             else Matrix.zeros(0, z.ambient_dim))

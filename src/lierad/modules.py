@@ -44,6 +44,7 @@ from .linalg import (
     Q1,
     SpanBuilder,
     Subspace,
+    closure,
     matrix_from_flat,
     nullspace_matrix,
     nullspace_sparse,
@@ -107,23 +108,18 @@ def restricted_ad_action(algebra: LieAlgebra, acting_vectors: Sequence,
 
 
 def associative_envelope(action: Action) -> Envelope:
-    """Unital span closure of the operators under matrix products."""
+    """Unital span closure of the operators under matrix products.
+
+    The ``closure`` of I and the operators under m -> m g and m -> g m.  An
+    operator in the span of I and the operators before it adds nothing:
+    its products are combinations of products already formed.
+    """
     n = action.carrier_dim
-    nn = n * n
-    builder = SpanBuilder(nn)
-    identity = Matrix.identity(n)
-    mats: list[Matrix] = [identity] if builder.add(identity.flatten()) else []
-    # m*I = I*m = m is already in the span, so the identity generates nothing
-    gens = [op for op in action.operators if builder.add(op.flatten())]
-    mats += gens
-    frontier = list(gens)
-    while frontier:
-        m = frontier.pop()
-        for g in gens:
-            for prod in (m.mul(g), g.mul(m)):
-                if builder.add(prod.flatten()):
-                    mats.append(prod)
-                    frontier.append(prod)
+    maps = []
+    for g in action.operators:
+        maps += [lambda m, g=g: m.mul(g), g.mul]
+    mats = closure(n * n, (Matrix.identity(n),) + tuple(action.operators), maps,
+                   Matrix.flatten)
     return Envelope(n, tuple(mats))
 
 
@@ -181,14 +177,10 @@ def is_completely_reducible(action: Action) -> bool:
 
 def matrix_powers(m: Matrix) -> tuple[list, Matrix]:
     """I, m, ..., m^(d-1), a basis of Q[m], and m^d, d = deg minpoly(m)."""
-    powers = [Matrix.identity(m.rows)]
-    builder = SpanBuilder(m.rows * m.rows)
-    builder.add(powers[0].flatten())
-    while True:
-        nxt = powers[-1].mul(m)
-        if not builder.add(nxt.flatten()):
-            return powers, nxt
-        powers.append(nxt)
+    identity = Matrix.identity(m.rows)
+    powers = closure(m.rows * m.rows, [identity], [lambda p: p.mul(m)],
+                     Matrix.flatten)
+    return powers, powers[-1].mul(m) if powers else identity
 
 
 def minimal_polynomial(m: Matrix) -> list:
@@ -212,18 +204,7 @@ def _poly_of_matrix(p: Sequence, m: Matrix) -> Matrix:
 def spin(action: Action, seeds: Sequence) -> Subspace:
     """Smallest subspace containing the seeds invariant under the action."""
     n = action.carrier_dim
-    builder = SpanBuilder(n)
-    frontier = []
-    for s in seeds:
-        if builder.add(s):
-            frontier.append(builder.rows[-1])
-    while frontier:
-        v = frontier.pop()
-        for op in action.operators:
-            image = op.apply(v)
-            if builder.add(image):
-                frontier.append(builder.rows[-1])
-    return builder.subspace()
+    return Subspace.span(n, closure(n, seeds, [op.apply for op in action.operators]))
 
 
 def _is_invariant(action: Action, space: Subspace) -> bool:
@@ -354,23 +335,19 @@ def direct_summands(algebra: LieAlgebra) -> tuple:
     """Ideal direct summands found by splitting centroid minimal polynomials.
 
     Returns (L,) when no split is found; every returned decomposition is
-    verified (ideals, pairwise independent, spanning).
+    verified (ideals, pairwise independent, spanning).  Each part of a split
+    is split by its own cached call and embedded one level up.
     """
     if algebra.dim == 0:
         return ()
-
-    def rec(alg: LieAlgebra, basis: Matrix) -> list:
-        split = _find_ideal_split(alg)
-        if split is None:
-            return [embed_subspace(basis, alg.full_space())]
-        out = []
-        for part in split:
-            part_alg, part_basis = restrict_to_subalgebra(alg, part)
-            out.extend(rec(part_alg, part_basis.mul(basis)))
-        return out
-
-    parts = sorted(rec(algebra, Matrix.identity(algebra.dim)),
-                   key=lambda s: s.sort_key())
+    split = _find_ideal_split(algebra)
+    if split is None:
+        return (algebra.full_space(),)
+    parts = []
+    for part in split:
+        part_alg, part_basis = restrict_to_subalgebra(algebra, part)
+        parts += [embed_subspace(part_basis, p) for p in direct_summands(part_alg)]
+    parts.sort(key=lambda s: s.sort_key())
     total = span_sum(*parts)
     if sum(p.dim for p in parts) != total.dim:
         raise AssertionError("direct summands are not independent")

@@ -7,7 +7,7 @@ number of divisors of the polynomial's values, so small degrees do not bound
 it.  x^6 + x + 720720 does not finish in 20 s, and minimal polynomials of
 degree 5 to 7 from integral actions conjugated by a random integral basis
 change can take minutes.  Hensel lifting would remove that limit (ROADMAP
-item 3).
+item 4).
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ from .liealg import (
 from .linalg import (
     Matrix,
     Q0,
-    SpanBuilder,
     Subspace,
+    closure,
     nullspace_matrix,
     span_intersect,
     span_sum,
@@ -122,17 +122,15 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
     if rad.is_zero():
         return rad
     commutator = bracket_spaces(algebra, algebra.full_space(), rad)
-    builder = SpanBuilder(n)
-    for v in commutator.vectors():
-        builder.add(v)
-    rad_ads = [ad_matrix(algebra, v) for v in rad.vectors()]
-    gens = [a for v, a in zip(rad.vectors(), rad_ads) if builder.add(v)]
+    rad_ads = {v: ad_matrix(algebra, v) for v in rad.vectors()}
+    picked = closure(n, commutator.vectors() + rad.vectors())[commutator.dim:]
+    gens = [rad_ads[v] for v in picked]
     last_k = max(len(gens) - 1, 0) * n * (n - 1) // 2 + 2
     for k in range(2, last_k + 1):
         z = reduce(Matrix.add, [g.scale(k ** i) for i, g in enumerate(gens)],
                    Matrix.zeros(n, n))
         powers, _ = matrix_powers(z)
-        rows = [[a.trace_of_product(p) for a in rad_ads] for p in powers]
+        rows = [[a.trace_of_product(p) for a in rad_ads.values()] for p in powers]
         coords = nullspace_matrix(Matrix(rows))
         result = embed_subspace(rad.basis, Subspace.span(rad.dim, coords.data))
         if (result.contains(commutator) and is_ideal(algebra, result)

@@ -151,6 +151,14 @@ def test_cli_analyze_corpus_target(capsys):
     assert "frattini_ideal: Exact" in text
 
 
+def test_cli_analyze_has_no_json_flag(capsys):
+    # JSON is the default output; the flag that said so did nothing
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "corpus:heis3", "--json"])
+    assert exit_info.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
 def test_cli_analyze_rejects_unknown_corpus(capsys):
     assert main(["analyze", "corpus:not_an_algebra"]) == 2
     assert "usage error" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import lierad.frattini as frattini_module
 import lierad.modules as modules_module
 import lierad.radicals as radicals_module
 from lierad.acceptance import random_semidirect_products
-from lierad.corpus import corpus, corpus_expr, suite_corpus
+from lierad.corpus import SUITE_FRATTINI_FREE, corpus, corpus_expr, suite_corpus
 from lierad.frattini import (
     IdealEstimate,
     IndexEstimate,
@@ -45,6 +45,7 @@ from lierad.liealg import (
     change_basis,
     derived_series,
     direct_product,
+    embed_subspace,
     ideal_closure,
     is_characteristic,
     is_ideal,
@@ -409,6 +410,39 @@ def test_direct_summands_certificate_fires(monkeypatch):
         with pytest.raises(AssertionError, match=message):
             direct_summands(alg)
     direct_summands.cache_clear()
+
+
+def test_the_parts_of_a_split_are_split_through_the_cache(monkeypatch):
+    # each part is split by its own cached call, so splitting it again
+    # (as frattini_ideal does per summand) finds no new work
+    for expr in ("sl2sl2", "direct(sl2,heis3)", "direct(ut(2),d1_v2)"):
+        alg = corpus_expr(expr)
+        direct_summands.cache_clear()
+        parts = direct_summands(alg)
+        assert len(parts) >= 2, expr
+
+        def no_split(a):
+            raise AssertionError("split searched again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(modules_module, "_find_ideal_split", no_split)
+            for part in parts:
+                part_alg, _ = restrict_to_subalgebra(alg, part)
+                assert direct_summands(part_alg) == (part_alg.full_space(),), expr
+    direct_summands.cache_clear()
+
+
+def test_frattini_free_c_and_s_equal_the_restricted_complement():
+    # C and S are read in L; in the complement M's own coordinates they are
+    # its center and [M, M]
+    for expr in SUITE_FRATTINI_FREE:
+        alg = corpus_expr(expr)
+        d = is_frattini_free(alg).decomposition
+        complement = span_sum(d.C, d.S)
+        comp_alg, basis = restrict_to_subalgebra(alg, complement)
+        full = comp_alg.full_space()
+        assert d.C == embed_subspace(basis, center(comp_alg)), expr
+        assert d.S == embed_subspace(basis, bracket_spaces(comp_alg, full, full)), expr
 
 
 def test_subdirect_components_d1_v2():

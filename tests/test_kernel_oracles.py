@@ -12,7 +12,10 @@ pairwise fold.  The structure-constant kernels that read only the tensor's
 nonzeros (``bracket``, ``ad_matrix``, ``centralizer``, ``validate``) and
 ``Subspace.reduce`` are compared, on Hypothesis tensors that need not be
 antisymmetric or satisfy Jacobi, with dense references written out here
-and, for the centralizer, with sympy.
+and, for the centralizer, with sympy.  Every span that ``linalg.closure``
+grows (spins, matrix powers, generated ideals and subalgebras, the
+ideal-closure series and the Lie closure of ``operator_semidirect``) is
+compared with the hand-written loop it replaced, kept here as a reference.
 """
 
 from __future__ import annotations
@@ -28,23 +31,32 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lierad.acceptance import random_semidirect_products  # noqa: E402
-from lierad.corpus import corpus  # noqa: E402
+from lierad.corpus import corpus, corpus_expr  # noqa: E402
 from lierad.liealg import (  # noqa: E402
     LieAlgebra,
     ad_matrix,
     bracket,
+    bracket_spaces,
     centralizer,
     derivation_algebra,
+    embed_subspace,
+    ideal_closure,
+    ideal_closure_series,
     killing_form,
+    operator_semidirect,
+    restrict_to_subalgebra,
+    subalgebra_closure,
     validate,
 )
 from lierad.linalg import (  # noqa: E402
     Matrix,
     SpanBuilder,
     Subspace,
+    closure,
     determinant,
     div,
     inverse,
+    matrix_from_flat,
     nullspace_matrix,
     nullspace_sparse,
     qq,
@@ -53,7 +65,7 @@ from lierad.linalg import (  # noqa: E402
     span_intersect,
     span_sum,
 )
-from lierad.modules import minimal_polynomial  # noqa: E402
+from lierad.modules import Action, matrix_powers, minimal_polynomial, spin  # noqa: E402
 from lierad.polys import factor_rational_poly  # noqa: E402
 
 SEED = 20260810
@@ -584,3 +596,206 @@ def test_reduce_matches_the_dense_reference(drawn):
     space = Subspace.span(alg.dim, vecs[:3])
     for vec in vecs:
         assert space.reduce(vec) == dense_reduce(space, vec)
+
+
+# ---------------------------------------------------------------------------
+# every span grown by ``closure``, against the loops it replaced
+# ---------------------------------------------------------------------------
+
+def spin_reference(action: Action, seeds) -> Subspace:
+    """Spinning with its own frontier of the builder's reduced rows."""
+    builder = SpanBuilder(action.carrier_dim)
+    frontier = []
+    for s in seeds:
+        if builder.add(s):
+            frontier.append(builder.rows[-1])
+    while frontier:
+        v = frontier.pop()
+        for op in action.operators:
+            if builder.add(op.apply(v)):
+                frontier.append(builder.rows[-1])
+    return builder.subspace()
+
+
+def subalgebra_closure_reference(alg: LieAlgebra, seed: Subspace) -> Subspace:
+    """S <- S + [S, S] to the fixpoint."""
+    current = seed
+    while True:
+        grown = span_sum(current, bracket_spaces(alg, current, current))
+        if grown == current:
+            return current
+        current = grown
+
+
+def ideal_closure_reference(alg: LieAlgebra, seed: Subspace) -> Subspace:
+    """I <- I + [L, I] to the fixpoint."""
+    current = seed
+    while True:
+        grown = span_sum(current, bracket_spaces(alg, alg.full_space(), current))
+        if grown == current:
+            return current
+        current = grown
+
+
+def ideal_closure_series_reference(alg: LieAlgebra, space: Subspace):
+    """Each term's ideal closure of S taken inside the term as an algebra:
+    S restricted to the term's coordinates, closed, embedded back."""
+    terms = [alg.full_space()]
+    current_alg = alg
+    while True:
+        current = terms[-1]
+        if current == space:
+            return tuple(terms), len(terms) - 1
+        seed = Subspace.span(current_alg.dim,
+                             [current.coords_of(v) for v in space.vectors()])
+        nxt = embed_subspace(current.basis, ideal_closure_reference(current_alg, seed))
+        if nxt == current:
+            return tuple(terms), None
+        terms.append(nxt)
+        current_alg, _ = restrict_to_subalgebra(alg, nxt)
+
+
+def matrix_powers_reference(m: Matrix) -> tuple:
+    """I, m, m^2, ... by repeated products until one is dependent."""
+    powers = [Matrix.identity(m.rows)]
+    while True:
+        nxt = powers[-1].mul(m)
+        if Subspace.span(m.rows ** 2, [p.flatten() for p in powers]) \
+                .contains_vector(nxt.flatten()):
+            return powers, nxt
+        powers.append(nxt)
+
+
+def lie_closure_reference(operators) -> Subspace:
+    """The operator span closed under pairwise commutators to the fixpoint."""
+    k = operators[0].rows
+    flat = Subspace.span(k * k, [op.flatten() for op in operators])
+    while True:
+        mats = [matrix_from_flat(v, k, k) for v in flat.vectors()]
+        extra = [a.mul(b).sub(b.mul(a)).flatten()
+                 for i, a in enumerate(mats) for b in mats[i + 1:]]
+        grown = span_sum(flat, Subspace.span(k * k, extra))
+        if grown == flat:
+            return flat
+        flat = grown
+
+
+closure_entries = st.one_of(st.just(0), st.integers(-3, 3),
+                            st.sampled_from((Fraction(1, 2), Fraction(-5, 3))))
+
+
+@st.composite
+def rational_actions(draw, max_dim: int = 4):
+    """Up to three operators on Q^1..Q^max_dim with int and Fraction
+    entries; some are zero."""
+    n = draw(st.integers(1, max_dim))
+    ops = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            ops.append(Matrix.zeros(n, n))
+        else:
+            ops.append(Matrix(draw(st.lists(
+                st.lists(closure_entries, min_size=n, max_size=n),
+                min_size=n, max_size=n))))
+    return Action(n, tuple(ops))
+
+
+def vectors(n: int, max_size: int = 3):
+    return st.lists(st.lists(closure_entries, min_size=n, max_size=n),
+                    max_size=max_size)
+
+
+@given(st.data())
+def test_closure_without_maps_keeps_exactly_the_seeds_that_enlarge_the_span(data):
+    n = data.draw(st.integers(0, 5))
+    seeds = [tuple(v) for v in data.draw(vectors(n, 7))]
+    kept = []
+    for s in seeds:
+        if not Subspace.span(n, kept).contains_vector(s):
+            kept.append(s)
+    found = closure(n, seeds)
+    # the seeds themselves, not copies or reduced rows
+    assert len(found) == len(kept)
+    assert all(a is b for a, b in zip(found, kept))
+    # an action whose maps are all zero adds nothing either
+    assert closure(n, seeds, [lambda v: (0,) * n]) == kept
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_spin_matches_the_spinning_loop(data):
+    action = data.draw(rational_actions())
+    seeds = data.draw(vectors(action.carrier_dim))
+    assert spin(action, seeds) == spin_reference(action, seeds)
+
+
+def test_spin_matches_the_spinning_loop_on_a_fraction_action():
+    jordan = Matrix([[Fraction(1, 2), 1, 0], [0, Fraction(1, 2), 1], [0, 0, Fraction(1, 2)]])
+    action = Action(3, (jordan, Matrix.zeros(3, 3)))
+    for seeds in ([(0, 0, 1)], [(0, 1, 0)], [(1, 0, 0), (2, 0, 0)], []):
+        assert spin(action, seeds) == spin_reference(action, seeds)
+    assert spin(action, [(0, 0, 1)]).is_full()
+    assert spin(action, [(0, 1, 0)]).dim == 2
+
+
+CLOSURE_ALGEBRAS = LIE_ALGEBRAS + [corpus("ut", 4), corpus("sl2sl2"),
+                                   corpus("sl2_v2"), corpus("d1_v2"),
+                                   corpus_expr("direct(sl2,heis3)")]
+
+
+@st.composite
+def algebra_and_seed(draw):
+    alg = draw(st.sampled_from(CLOSURE_ALGEBRAS))
+    rows = draw(st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2))),
+                                  min_size=alg.dim, max_size=alg.dim), max_size=2))
+    return alg, Subspace.span(alg.dim, rows)
+
+
+@settings(deadline=None)
+@given(algebra_and_seed())
+def test_generated_ideals_and_subalgebras_match_the_bracket_fixpoints(drawn):
+    alg, seed = drawn
+    assert ideal_closure(alg, seed) == ideal_closure_reference(alg, seed)
+    assert subalgebra_closure(alg, seed) == subalgebra_closure_reference(alg, seed)
+
+
+@settings(deadline=None)
+@given(algebra_and_seed())
+def test_ideal_closure_series_matches_the_restricted_recursion(drawn):
+    alg, seed = drawn
+    space = subalgebra_closure(alg, seed)
+    assert ideal_closure_series(alg, space) == \
+        ideal_closure_series_reference(alg, space)
+
+
+@settings(deadline=None)
+@given(rational_actions(max_dim=5))
+def test_matrix_powers_match_repeated_products(action):
+    for m in action.operators:
+        assert matrix_powers(m) == matrix_powers_reference(m)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_operator_semidirect_spans_the_commutator_fixpoint(data):
+    action = data.draw(rational_actions(max_dim=3).filter(lambda a: a.operators))
+    ops = action.operators
+    k = action.carrier_dim
+    alg = operator_semidirect(ops)
+    m = alg.dim - k
+    # ad of acting basis element i on Q^k is its operator: [m_i, v_j] = m_i v_j
+    mats = [Matrix([[alg.c[i][m + j][m + t] for j in range(k)] for t in range(k)])
+            for i in range(m)]
+    expected = lie_closure_reference(ops)
+    assert Subspace.span(k * k, [a.flatten() for a in mats]) == expected
+    assert m == expected.dim
+    if Subspace.span(k * k, [op.flatten() for op in ops]) == expected \
+            and len(ops) == expected.dim:
+        assert mats == list(ops)
+
+
+def test_the_empty_matrix_has_minimal_polynomial_one():
+    # Q[m] = 0 on Q^0, so d = 0 and m^d = I
+    empty = Matrix.zeros(0, 0)
+    assert matrix_powers(empty) == ([], empty)
+    assert minimal_polynomial(empty) == [1]

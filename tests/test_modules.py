@@ -421,6 +421,44 @@ def test_split_over_abelian_ideal_sl2_v2():
     assert found == span(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
 
 
+def test_split_certificate_fires_on_a_perturbed_solution(monkeypatch):
+    # sl2 acts irreducibly on V = Q^2, so the complements of V are the
+    # conjugates of sl2; moving one coordinate of the correcting map off its
+    # solution gives a span of three vectors that is not closed
+    v2 = corpus("sl2_v2")
+    x = span(5, (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+    real_solve = modules_module.solve
+
+    def perturbed(a, b):
+        sol = real_solve(a, b)
+        return (sol[0] + 1,) + sol[1:]
+
+    monkeypatch.setattr(modules_module, "solve", perturbed)
+    with pytest.raises(AssertionError, match="split produced a non-subalgebra"):
+        split_over_abelian_ideal(v2, x)
+
+
+def test_probe_certificate_fires_when_spin_drops_an_operator(monkeypatch):
+    # natural sl2 plus a trivial line: the envelope M_2(Q) + Q has dimension
+    # 5 < 9, so the probes run; spun without e, the line of e_2 is proper
+    # but e maps it to the line of e_1
+    e = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    f = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    action = Action(3, (e, f, diag(1, -1, 0)))
+    assert find_proper_submodule(action) in (span(3, (0, 0, 1)),
+                                             span(3, (1, 0, 0), (0, 1, 0)))
+    real_closure = modules_module.closure
+
+    def without_first_map(dim, seeds, maps=(), flat=None):
+        # spin passes vectors (no flat) and one map per operator
+        return real_closure(dim, seeds, maps if flat else maps[1:], flat)
+
+    monkeypatch.setattr(modules_module, "closure", without_first_map)
+    assert spin(action, [(0, 1, 0)]) == span(3, (0, 1, 0))
+    with pytest.raises(AssertionError, match="probe produced a non-invariant subspace"):
+        find_proper_submodule(action)
+
+
 def test_split_requires_abelian_ideal():
     h = corpus("heis3")
     with pytest.raises(ContractError):
