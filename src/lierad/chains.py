@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .linalg import Subspace, span_intersect, span_sum
+from .linalg import Subspace, _series, span_intersect, span_sum
 
 DEFAULT_COMPLETION_BOUND = 16
 
@@ -57,45 +57,39 @@ def family_join(family: SubspaceFamily) -> Subspace:
     return span_sum(Subspace.zero(family.ambient_dim), *family)
 
 
-def _check_bound(family: SubspaceFamily, bound: int):
+def _completion(family: SubspaceFamily, bound: int, combine,
+                extra) -> SubspaceFamily:
+    """combine(*subfamily) over the nonempty subfamilies, plus extra(family).
+
+    Refused above ``bound`` members: there are 2^n - 1 subfamilies.
+    """
     if len(family) > bound:
         raise FamilySizeError(
             "family of %d members exceeds the completion bound %d"
             % (len(family), bound))
+    members = family.members
+    out = [extra(family)]
+    for size in range(1, len(members) + 1):
+        out.extend(combine(*combo) for combo in combinations(members, size))
+    return SubspaceFamily.of(family.ambient_dim, out)
 
 
 def p_completion(family: SubspaceFamily,
                  bound: int = DEFAULT_COMPLETION_BOUND) -> SubspaceFamily:
     """All meets of nonempty subfamilies, plus the join."""
-    _check_bound(family, bound)
-    members = list(family.members)
-    out = [family_join(family)]
-    for size in range(1, len(members) + 1):
-        out.extend(span_intersect(*combo)
-                   for combo in combinations(members, size))
-    return SubspaceFamily.of(family.ambient_dim, out)
+    return _completion(family, bound, span_intersect, family_join)
 
 
 def s_completion(family: SubspaceFamily,
                  bound: int = DEFAULT_COMPLETION_BOUND) -> SubspaceFamily:
     """All joins of nonempty subfamilies, plus the meet."""
-    _check_bound(family, bound)
-    members = list(family.members)
-    out = [family_meet(family)]
-    for size in range(1, len(members) + 1):
-        out.extend(span_sum(*combo) for combo in combinations(members, size))
-    return SubspaceFamily.of(family.ambient_dim, out)
+    return _completion(family, bound, span_sum, family_meet)
 
 
 def is_lower_finite_gap(family: SubspaceFamily) -> bool:
     """Every member other than the meet has a member properly below it."""
-    meet = family_meet(family)
-    for z in family:
-        if z == meet:
-            continue
-        if not any(z != y and z.contains(y) for y in family):
-            return False
-    return True
+    return is_lower_finite_gap_modulo(family,
+                                      SubspaceFamily.of(family.ambient_dim, ()))
 
 
 def is_upper_finite_gap(family: SubspaceFamily) -> bool:
@@ -132,16 +126,15 @@ def maximal_lower_finite_gap_chain(family: SubspaceFamily, top: Subspace,
     """
     if top not in family:
         raise ValueError("top is not a member of the family")
-    chain = [top]
-    while True:
-        current = chain[-1]
+    pick = max if reverse_tiebreak else min
+
+    def step(current: Subspace) -> Subspace:
         below = [y for y in family if y != current and current.contains(y)]
-        if not below:
-            return tuple(chain)
         maximal = [y for y in below
                    if not any(z != y and z.contains(y) for z in below)]
-        maximal.sort(key=lambda s: s.sort_key(), reverse=reverse_tiebreak)
-        chain.append(maximal[0])
+        return pick(maximal, key=Subspace.sort_key, default=current)
+
+    return _series(top, step).terms
 
 
 def restrict_family(family: SubspaceFamily, w: Subspace) -> SubspaceFamily:

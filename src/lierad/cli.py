@@ -47,11 +47,8 @@ def _resolve_target(target: str) -> LieAlgebra:
     return load_algebra(target)
 
 
-def _emit(payload, as_json: bool):
-    if as_json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(str(payload) + "\n")
+def _emit(payload):
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -64,11 +61,11 @@ def _cmd_validate(args) -> int:
             "antisymmetry_violations": [list(v) for v in
                                         report.antisymmetry_violations],
             "jacobi_violations": [list(v) for v in report.jacobi_violations],
-        }, True)
+        })
         return 1
     report = validate(algebra)
     _emit({"ok": report.ok, "dim": algebra.dim,
-           "basis": list(algebra.labels)}, True)
+           "basis": list(algebra.labels)})
     return 0 if report.ok else 1
 
 
@@ -95,7 +92,7 @@ def _cmd_radical(args) -> int:
         fix, index = superposition_closure(spec, algebra)
         payload["superposition"] = {"fixpoint": subspace_to_json(fix),
                                     "index": index}
-    _emit(payload, True)
+    _emit(payload)
     return 0
 
 
@@ -107,14 +104,14 @@ def _cmd_frattini(args) -> int:
         "jacobson_ideal": subspace_to_json(fr.jacobson_ideal(algebra)),
         "jacobson_index": fr.jacobson_index(algebra),
     }
-    _emit(payload, True)
+    _emit(payload)
     return 0
 
 
 def _cmd_classify(args) -> int:
     algebra = _resolve_target(args.target)
     cls = fr.classify_subsimple(algebra)
-    _emit({"tag": cls.tag, "unverified": cls.unverified}, True)
+    _emit({"tag": cls.tag, "unverified": cls.unverified})
     return 0
 
 
@@ -123,20 +120,20 @@ def _cmd_chains(args) -> int:
     bound = args.completion_bound
     sub = args.subcommand
     if sub == "meet":
-        _emit({"meet": subspace_to_json(ch.family_meet(family))}, True)
+        _emit({"meet": subspace_to_json(ch.family_meet(family))})
     elif sub == "join":
-        _emit({"join": subspace_to_json(ch.family_join(family))}, True)
+        _emit({"join": subspace_to_json(ch.family_join(family))})
     elif sub == "p-complete":
-        _emit(family_to_dict(ch.p_completion(family, bound)), True)
+        _emit(family_to_dict(ch.p_completion(family, bound)))
     elif sub == "s-complete":
-        _emit(family_to_dict(ch.s_completion(family, bound)), True)
+        _emit(family_to_dict(ch.s_completion(family, bound)))
     elif sub == "lower-finite-gap":
-        _emit({"lower_finite_gap": ch.is_lower_finite_gap(family)}, True)
+        _emit({"lower_finite_gap": ch.is_lower_finite_gap(family)})
     elif sub == "upper-finite-gap":
-        _emit({"upper_finite_gap": ch.is_upper_finite_gap(family)}, True)
+        _emit({"upper_finite_gap": ch.is_upper_finite_gap(family)})
     elif sub == "delta":
         try:
-            _emit({"delta": subspace_to_json(ch.delta(family))}, True)
+            _emit({"delta": subspace_to_json(ch.delta(family))})
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     elif sub == "max-chain":
@@ -144,7 +141,7 @@ def _cmd_chains(args) -> int:
         if top not in family:
             raise UsageError("family join is not a member; no top to chain from")
         chain = ch.maximal_lower_finite_gap_chain(family, top)
-        _emit({"chain": [subspace_to_json(c) for c in chain]}, True)
+        _emit({"chain": [subspace_to_json(c) for c in chain]})
     else:
         raise UsageError("unknown chains subcommand %r" % sub)
     return 0

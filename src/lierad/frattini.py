@@ -24,9 +24,9 @@ from math import isqrt
 from typing import Optional
 
 from .liealg import (
+    _is_homomorphism,
     ContractError,
     LieAlgebra,
-    bracket,
     bracket_spaces,
     center,
     centralizer,
@@ -356,14 +356,8 @@ def _verify_iso_witness(alg1: LieAlgebra, alg2: LieAlgebra, witness: Matrix):
         raise WitnessInvalidError("witness has wrong shape")
     if alg1.dim != alg2.dim or rank(witness) != alg1.dim:
         raise WitnessInvalidError("witness is not invertible")
-    for i in range(alg1.dim):
-        for j in range(i + 1, alg1.dim):
-            lhs = witness.apply(bracket(alg1, alg1.basis_vector(i),
-                                        alg1.basis_vector(j)))
-            rhs = bracket(alg2, witness.apply(alg1.basis_vector(i)),
-                          witness.apply(alg1.basis_vector(j)))
-            if lhs != rhs:
-                raise WitnessInvalidError("witness does not preserve brackets")
+    if not _is_homomorphism(alg1, alg2, witness):
+        raise WitnessInvalidError("witness does not preserve brackets")
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +431,8 @@ def verify_subdirect(components, embedding: Matrix, algebra: LieAlgebra) -> bool
         raise ValueError("embedding shape does not match components")
     if rank(embedding) != algebra.dim:
         return False
-    product = direct_product(list(components))
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            lhs = embedding.apply(bracket(algebra, algebra.basis_vector(i),
-                                          algebra.basis_vector(j)))
-            rhs = bracket(product, embedding.apply(algebra.basis_vector(i)),
-                          embedding.apply(algebra.basis_vector(j)))
-            if lhs != rhs:
-                return False
+    if not _is_homomorphism(algebra, direct_product(list(components)), embedding):
+        return False
     offset = 0
     for comp in components:
         block = Matrix(embedding.data[offset:offset + comp.dim])

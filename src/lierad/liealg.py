@@ -22,9 +22,11 @@ from typing import Optional, Sequence
 
 from .linalg import (
     _INTS,
+    _series,
     Matrix,
     Q0,
     Q1,
+    SeriesResult,
     Subspace,
     closure,
     inverse,
@@ -130,20 +132,6 @@ class QuotientData:
         vecs = [self.section.apply(v) for v in space.vectors()]
         vecs.extend(kernel.data)
         return Subspace.span(self.projection.cols, vecs)
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """Decreasing subspace series, listed until its first repetition."""
-
-    terms: tuple
-    stable_index: int
-
-    def stable_term(self) -> Subspace:
-        return self.terms[self.stable_index]
-
-    def reaches_zero(self) -> bool:
-        return self.terms[self.stable_index].is_zero()
 
 
 def validate(algebra: LieAlgebra) -> ValidationReport:
@@ -311,15 +299,6 @@ def centralizer(algebra: LieAlgebra, space: Subspace) -> Subspace:
 @lru_cache(maxsize=None)
 def center(algebra: LieAlgebra) -> Subspace:
     return centralizer(algebra, algebra.full_space())
-
-
-def _series(start: Subspace, step) -> SeriesResult:
-    terms = [start]
-    while True:
-        nxt = step(terms[-1])
-        if nxt == terms[-1]:
-            return SeriesResult(tuple(terms), len(terms) - 1)
-        terms.append(nxt)
 
 
 @lru_cache(maxsize=None)
@@ -493,12 +472,25 @@ def is_characteristic(algebra: LieAlgebra, ideal: Subspace) -> bool:
     return True
 
 
+def _antisymmetric(m: int, upper) -> list:
+    """The m x m tensor with c[i][j] = upper(i, j) for i < j, c[j][i] its
+    negation and a zero diagonal."""
+    zero = (Q0,) * m
+    c = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            coords = upper(i, j)
+            c[i][j] = coords
+            c[j][i] = tuple(-x for x in coords)
+    return c
+
+
 def quotient(algebra: LieAlgebra, ideal: Subspace) -> QuotientData:
     """Quotient by an ideal; basis = complement of the ideal's pivot columns.
 
     Each basis vector is projected once.  The tensor is assumed
     antisymmetric (as in ``restrict_to_subalgebra``): only the pairs i < j
-    are projected, c[j][i] is their negation and the diagonal is zero.
+    are projected into ``_antisymmetric``.
     """
     if not is_ideal(algebra, ideal):
         raise ContractError("quotient requires an ideal")
@@ -516,15 +508,8 @@ def quotient(algebra: LieAlgebra, ideal: Subspace) -> QuotientData:
     images = [project(algebra.basis_vector(i)) for i in range(n)]
     projection = Matrix([[img[k] for img in images] for k in range(m)]) \
         if m else Matrix.zeros(0, n)
-    zero = (Q0,) * m
-    c = [[zero] * m for _ in range(m)]
-    for i in range(m):
-        # [b_free[i], b_free[j]] is read off the tensor
-        ci = algebra.c[free[i]]
-        for j in range(i + 1, m):
-            coords = project(ci[free[j]])
-            c[i][j] = coords
-            c[j][i] = tuple(-x for x in coords)
+    # [b_free[i], b_free[j]] is read off the tensor
+    c = _antisymmetric(m, lambda i, j: project(algebra.c[free[i]][free[j]]))
     labels = [algebra.labels[j] + "~" for j in free]
     return QuotientData(LieAlgebra(m, labels, c), projection, section)
 
@@ -534,9 +519,9 @@ def restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> tuple[LieAlg
 
     Subspaces of the restriction embed back via the returned basis matrix.
     The tensor is assumed antisymmetric (as ``_is_lie_homomorphism`` does):
-    only the pairs i < j are bracketed, c[j][i] is their negation and the
-    diagonal is zero.  The full space restricts to the algebra itself, since
-    its canonical basis is the identity.
+    only the pairs i < j are bracketed into ``_antisymmetric``.  The full
+    space restricts to the algebra itself, since its canonical basis is the
+    identity.
     """
     if space.ambient_dim != algebra.dim:
         raise ValueError("vector length does not match algebra dimension")
@@ -544,18 +529,15 @@ def restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> tuple[LieAlg
     m = space.dim
     if m == algebra.dim:
         return algebra, basis
-    zero = (Q0,) * m
-    c = [[zero] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = bracket(algebra, basis.row(i), basis.row(j))
-            coords = space.coords_of(br)
-            if coords is None:
-                raise ContractError("restriction requires a subalgebra")
-            c[i][j] = coords
-            c[j][i] = tuple(-x for x in coords)
+
+    def coords(i: int, j: int) -> tuple:
+        found = space.coords_of(bracket(algebra, basis.row(i), basis.row(j)))
+        if found is None:
+            raise ContractError("restriction requires a subalgebra")
+        return found
+
     labels = ["s%d" % i for i in range(m)]
-    return LieAlgebra(m, labels, c), basis
+    return LieAlgebra(m, labels, _antisymmetric(m, coords)), basis
 
 
 def embed_subspace(sub_basis: Matrix, space: Subspace) -> Subspace:
@@ -596,6 +578,14 @@ def direct_product(algebras: Sequence[LieAlgebra]) -> LieAlgebra:
                 for k, x in enumerate(alg.c[i][j]):
                     c[o + i][o + j][o + k] = x
     return LieAlgebra(n, labels, c)
+
+
+def _is_homomorphism(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> bool:
+    """Whether m c[i][j] = [m b_i, m b_j] on every basis pair i < j of the
+    source; antisymmetry of both sides covers the other pairs."""
+    images = [m.column(i) for i in range(source.dim)]
+    return all(m.apply(source.c[i][j]) == bracket(target, images[i], images[j])
+               for i in range(source.dim) for j in range(i + 1, source.dim))
 
 
 def _is_derivation_of(algebra: LieAlgebra, op: Matrix) -> bool:
@@ -647,21 +637,14 @@ def semidirect_product(l1: LieAlgebra, l0: LieAlgebra,
         raise ContractError("action is not a Lie homomorphism")
     n1, n0 = l1.dim, l0.dim
     n = n1 + n0
-    c = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            for k, x in enumerate(l1.c[i][j]):
-                c[i][j][k] = x
+    # the direct product's tensor, plus the brackets [l1, l0] of the action
+    c = [[list(cij) for cij in row] for row in direct_product([l1, l0]).c]
     for i in range(n1):
         for j in range(n0):
             col = phi[i].column(j)
             for k, x in enumerate(col):
                 c[i][n1 + j][n1 + k] = x
                 c[n1 + j][i][n1 + k] = -x
-    for i in range(n0):
-        for j in range(n0):
-            for k, x in enumerate(l0.c[i][j]):
-                c[n1 + i][n1 + j][n1 + k] = x
     labels = list(l1.labels) + list(l0.labels)
     return LieAlgebra(n, labels, c)
 

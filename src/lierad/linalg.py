@@ -26,6 +26,7 @@ elimination over Q.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -636,6 +637,31 @@ def closure(dim: int, seeds: Iterable, maps: Sequence = (), flat=None) -> list:
                 found.append(y)
                 frontier.append(y)
     return found
+
+
+@dataclass(frozen=True)
+class SeriesResult:
+    """Subspace series, listed until its first repetition."""
+
+    terms: tuple
+    stable_index: int
+
+    def stable_term(self) -> Subspace:
+        return self.terms[self.stable_index]
+
+    def reaches_zero(self) -> bool:
+        return self.terms[self.stable_index].is_zero()
+
+
+def _series(start: Subspace, step) -> SeriesResult:
+    """start, step(start), step(step(start)), ... up to the first term that
+    step leaves fixed."""
+    terms = [start]
+    while True:
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            return SeriesResult(tuple(terms), len(terms) - 1)
+        terms.append(nxt)
 
 
 def _common_ambient(spaces: Sequence[Subspace]) -> int:

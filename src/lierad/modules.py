@@ -42,7 +42,6 @@ from .linalg import (
     Matrix,
     Q0,
     Q1,
-    SpanBuilder,
     Subspace,
     closure,
     matrix_from_flat,
@@ -110,38 +109,35 @@ def restricted_ad_action(algebra: LieAlgebra, acting_vectors: Sequence,
 def associative_envelope(action: Action) -> Envelope:
     """Unital span closure of the operators under matrix products.
 
-    The ``closure`` of I and the operators under m -> m g and m -> g m.  An
-    operator in the span of I and the operators before it adds nothing:
-    its products are combinations of products already formed.
+    The ``closure`` of I and the operators under m -> m g and m -> g m,
+    over the operators that a first closure with no maps keeps: one in the
+    span of I and the operators before it adds nothing, since its products
+    are combinations of products already formed.
     """
     n = action.carrier_dim
+    kept = closure(n * n, (Matrix.identity(n),) + tuple(action.operators),
+                   flat=Matrix.flatten)
     maps = []
-    for g in action.operators:
+    for g in kept[1:]:
         maps += [lambda m, g=g: m.mul(g), g.mul]
-    mats = closure(n * n, (Matrix.identity(n),) + tuple(action.operators), maps,
-                   Matrix.flatten)
-    return Envelope(n, tuple(mats))
+    return Envelope(n, tuple(closure(n * n, kept, maps, Matrix.flatten)))
 
 
 def _span_is_nilpotent(mats: Sequence[Matrix], carrier_dim: int) -> bool:
-    """Whether the associative span of the matrices is nilpotent."""
-    if not mats:
-        return True
-    nn = carrier_dim * carrier_dim
-    current = Subspace.span(nn, [m.flatten() for m in mats])
-    for _ in range(carrier_dim + 1):
-        if current.is_zero():
-            return True
-        builder = SpanBuilder(nn)
-        for m in mats:
-            for flat in current.vectors():
-                w = matrix_from_flat(flat, carrier_dim, carrier_dim)
-                builder.add(m.mul(w).flatten())
-        nxt = builder.subspace()
-        if nxt == current:
-            return False
-        current = nxt
-    return current.is_zero()
+    """Whether the associative algebra B the matrices generate is nilpotent.
+
+    B is the ``closure`` of the matrices under left multiplication by each
+    of them, and B is nilpotent iff every element of it has trace 0.
+    Proof.  By Wedderburn's theorem a finite-dimensional associative algebra
+    is nilpotent iff each of its elements is (Jacobson, *Lie Algebras*,
+    1962).  In characteristic 0 a matrix b is nilpotent iff tr(b^k) = 0 for
+    k = 1, ..., n (Newton's identities), and every power b^k lies in B.  So
+    B is nilpotent iff the trace vanishes on B, which is linear, so on a
+    basis of B (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).
+    """
+    closed = closure(carrier_dim * carrier_dim, mats, [m.mul for m in mats],
+                     Matrix.flatten)
+    return not any(b.trace() for b in closed)
 
 
 def trace_radical(envelope: Envelope) -> Subspace:

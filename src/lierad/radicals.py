@@ -42,6 +42,7 @@ from .liealg import (
     stable_lower_central_term,
 )
 from .linalg import (
+    _series,
     Matrix,
     Q0,
     Subspace,
@@ -260,38 +261,40 @@ def vasilescu_radical(algebra: LieAlgebra) -> Subspace:
     return solvable_radical(algebra)
 
 
-def superposition_closure(spec: PreradicalSpec, algebra: LieAlgebra):
-    """Iterate K <- R(K as an algebra) to the fixpoint; also its index.
+def _ideal_value(spec: PreradicalSpec, algebra: LieAlgebra) -> Subspace:
+    """R(L), refused unless it is an ideal of L."""
+    value = spec.evaluate(algebra)
+    if not is_ideal(algebra, value):
+        raise ContractError("evaluator %r returned a non-ideal" % spec.name)
+    return value
 
-    The index is 0 on the zero algebra and otherwise the least n >= 1 with
-    the (n+1)-th term equal to the n-th.
-    """
+
+def _stable(algebra: LieAlgebra, start: Subspace, step) -> tuple:
+    """The stable term of the series from start, and its index: 0 on the
+    zero algebra, otherwise the least n >= 1 with the (n+1)-th term equal
+    to the n-th."""
     if algebra.dim == 0:
         return algebra.zero_space(), 0
-    terms = [algebra.full_space()]
-    while True:
-        current = terms[-1]
+    series = _series(start, step)
+    return series.stable_term(), max(1, series.stable_index)
+
+
+def superposition_closure(spec: PreradicalSpec, algebra: LieAlgebra):
+    """Iterate K <- R(K as an algebra) to the fixpoint; also its index."""
+
+    def step(current: Subspace) -> Subspace:
         sub, basis = restrict_to_subalgebra(algebra, current)
-        value = spec.evaluate(sub)
-        if not is_ideal(sub, value):
-            raise ContractError("evaluator %r returned a non-ideal" % spec.name)
-        nxt = embed_subspace(basis, value)
-        if nxt == current:
-            return current, max(1, len(terms) - 1)
-        terms.append(nxt)
+        return embed_subspace(basis, _ideal_value(spec, sub))
+
+    return _stable(algebra, algebra.full_space(), step)
 
 
 def convolution(r: PreradicalSpec, t: PreradicalSpec,
                 algebra: LieAlgebra) -> Subspace:
     """(R * T)(L) = preimage of R(L / T(L)) under the quotient map."""
-    t_value = t.evaluate(algebra)
-    if not is_ideal(algebra, t_value):
-        raise ContractError("evaluator %r returned a non-ideal" % t.name)
+    t_value = _ideal_value(t, algebra)
     quot = quotient(algebra, t_value)
-    r_value = r.evaluate(quot.quotient)
-    if not is_ideal(quot.quotient, r_value):
-        raise ContractError("evaluator %r returned a non-ideal" % r.name)
-    result = quot.pull(r_value)
+    result = quot.pull(_ideal_value(r, quot.quotient))
     if not result.contains(t_value):
         raise AssertionError("convolution lost T(L)")
     return result
@@ -299,19 +302,12 @@ def convolution(r: PreradicalSpec, t: PreradicalSpec,
 
 def convolution_closure(spec: PreradicalSpec, algebra: LieAlgebra):
     """Increasing convolution series R^(n+1) = R * R^(n), with its index."""
-    if algebra.dim == 0:
-        return algebra.zero_space(), 0
-    terms = [algebra.zero_space()]
-    while True:
-        current = terms[-1]
+
+    def step(current: Subspace) -> Subspace:
         quot = quotient(algebra, current)
-        value = spec.evaluate(quot.quotient)
-        if not is_ideal(quot.quotient, value):
-            raise ContractError("evaluator %r returned a non-ideal" % spec.name)
-        nxt = quot.pull(value)
-        if nxt == current:
-            return current, max(1, len(terms) - 1)
-        terms.append(nxt)
+        return quot.pull(_ideal_value(spec, quot.quotient))
+
+    return _stable(algebra, algebra.zero_space(), step)
 
 
 def is_absorbing(spec: PreradicalSpec, algebra: LieAlgebra,

@@ -498,6 +498,13 @@ def test_verify_subdirect_rejects_partial_projections():
     assert verify_subdirect([s], Matrix.identity(3), s)
 
 
+def test_verify_subdirect_rejects_a_full_rank_map_that_breaks_brackets():
+    # the identity of heis3 into abelian(3) is injective and onto, but sends
+    # [x, y] = z to z where the bracket of the images is 0
+    assert not verify_subdirect([corpus("abelian", 3)], Matrix.identity(3),
+                                corpus("heis3"))
+
+
 def test_index_class_fixtures():
     assert index_class(corpus("sl2"))[0] == "C1"
     assert index_class(corpus("heis3"))[0] == "C2"

@@ -16,6 +16,13 @@ and, for the centralizer, with sympy.  Every span that ``linalg.closure``
 grows (spins, matrix powers, generated ideals and subalgebras, the
 ideal-closure series and the Lie closure of ``operator_semidirect``) is
 compared with the hand-written loop it replaced, kept here as a reference.
+So is each job that now has one implementation: the trace test of
+nilpotency against the power loop, the superposition and convolution
+series and the greedy maximal chain against their loops over ``_series``,
+``_is_homomorphism`` against the basis-pair loop of the iso-witness and
+subdirect checks, the restriction, quotient and semidirect tensors against
+their own fills, and ``_completion`` and the lower finite-gap test against
+theirs.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -31,20 +39,49 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lierad.acceptance import random_semidirect_products  # noqa: E402
-from lierad.corpus import corpus, corpus_expr  # noqa: E402
+from lierad.chains import (  # noqa: E402
+    DEFAULT_COMPLETION_BOUND,
+    FamilySizeError,
+    SubspaceFamily,
+    family_join,
+    family_meet,
+    is_lower_finite_gap,
+    maximal_lower_finite_gap_chain,
+    p_completion,
+    s_completion,
+)
+from lierad.corpus import corpus, corpus_expr, suite_corpus  # noqa: E402
+from lierad.frattini import (  # noqa: E402
+    WitnessInvalidError,
+    _verify_iso_witness,
+    assemble_subdirect_embedding,
+    is_frattini_free,
+    subdirect_components,
+    verify_subdirect,
+)
 from lierad.liealg import (  # noqa: E402
+    ContractError,
     LieAlgebra,
+    _is_homomorphism,
+    abelian,
     ad_matrix,
+    ad_of_basis,
     bracket,
     bracket_spaces,
     centralizer,
+    change_basis,
     derivation_algebra,
+    direct_product,
     embed_subspace,
     ideal_closure,
     ideal_closure_series,
+    is_ideal,
+    is_subalgebra,
     killing_form,
     operator_semidirect,
+    quotient,
     restrict_to_subalgebra,
+    semidirect_product,
     subalgebra_closure,
     validate,
 )
@@ -60,12 +97,25 @@ from lierad.linalg import (  # noqa: E402
     nullspace_matrix,
     nullspace_sparse,
     qq,
+    rank,
     rref,
     solve,
     span_intersect,
     span_sum,
 )
-from lierad.modules import Action, matrix_powers, minimal_polynomial, spin  # noqa: E402
+from lierad.modules import (  # noqa: E402
+    Action,
+    _span_is_nilpotent,
+    matrix_powers,
+    minimal_polynomial,
+    spin,
+)
+from lierad.radicals import (  # noqa: E402
+    REGISTRY,
+    PreradicalSpec,
+    convolution_closure,
+    superposition_closure,
+)
 from lierad.polys import factor_rational_poly  # noqa: E402
 
 SEED = 20260810
@@ -799,3 +849,365 @@ def test_the_empty_matrix_has_minimal_polynomial_one():
     empty = Matrix.zeros(0, 0)
     assert matrix_powers(empty) == ([], empty)
     assert minimal_polynomial(empty) == [1]
+
+
+# ---------------------------------------------------------------------------
+# one implementation per job, against the second copies it replaced
+# ---------------------------------------------------------------------------
+
+def span_is_nilpotent_reference(mats, carrier_dim: int) -> bool:
+    """Products of the generators with the last span, until zero or stable."""
+    if not mats:
+        return True
+    nn = carrier_dim * carrier_dim
+    current = Subspace.span(nn, [m.flatten() for m in mats])
+    for _ in range(carrier_dim + 1):
+        if current.is_zero():
+            return True
+        builder = SpanBuilder(nn)
+        for m in mats:
+            for flat in current.vectors():
+                w = matrix_from_flat(flat, carrier_dim, carrier_dim)
+                builder.add(m.mul(w).flatten())
+        nxt = builder.subspace()
+        if nxt == current:
+            return False
+        current = nxt
+    return current.is_zero()
+
+
+def unit_triangular_product(draw, n: int) -> Matrix:
+    """Unit lower times unit upper triangular: invertible, det 1."""
+    def factor(keep):
+        return Matrix([[1 if i == j else draw(closure_entries) if keep(i, j) else 0
+                        for j in range(n)] for i in range(n)])
+    return factor(lambda i, j: j < i).mul(factor(lambda i, j: j > i))
+
+
+@st.composite
+def matrix_spans(draw):
+    """Up to three matrices on Q^1..Q^4: arbitrary, strictly upper
+    triangular (a nilpotent algebra) or upper triangular with a sparse
+    diagonal, conjugated by a dense change of basis half of the time."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(("any", "strict", "triangular")))
+    keep = {"any": lambda i, j: True, "strict": lambda i, j: j > i,
+            "triangular": lambda i, j: j >= i}[shape]
+    diagonal = st.sampled_from((0, 0, 0, 1)) if shape == "triangular" else closure_entries
+    mats = [Matrix([[draw(diagonal if i == j else closure_entries) if keep(i, j) else 0
+                     for j in range(n)] for i in range(n)])
+            for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        t = unit_triangular_product(draw, n)
+        back = inverse(t)
+        mats = [t.mul(m).mul(back) for m in mats]
+    return n, mats
+
+
+@settings(deadline=None)
+@given(matrix_spans())
+def test_nilpotency_certificate_matches_the_power_loop(drawn):
+    n, mats = drawn
+    assert _span_is_nilpotent(mats, n) == span_is_nilpotent_reference(mats, n)
+
+
+def test_nilpotency_certificate_reads_the_generated_algebra_not_the_span():
+    e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    # each is nilpotent, but e12 e21 = e11 has trace 1
+    assert not _span_is_nilpotent([e12, e21], 2)
+    assert not span_is_nilpotent_reference([e12, e21], 2)
+    strict = [Matrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]]),
+              Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])]
+    assert _span_is_nilpotent(strict, 3) and span_is_nilpotent_reference(strict, 3)
+    assert _span_is_nilpotent([], 2)
+
+
+def superposition_closure_reference(spec, algebra):
+    """K <- R(K as an algebra), by hand, to the fixpoint."""
+    if algebra.dim == 0:
+        return algebra.zero_space(), 0
+    terms = [algebra.full_space()]
+    while True:
+        current = terms[-1]
+        sub, basis = restrict_to_subalgebra(algebra, current)
+        value = spec.evaluate(sub)
+        if not is_ideal(sub, value):
+            raise ContractError("evaluator %r returned a non-ideal" % spec.name)
+        nxt = embed_subspace(basis, value)
+        if nxt == current:
+            return current, max(1, len(terms) - 1)
+        terms.append(nxt)
+
+
+def convolution_closure_reference(spec, algebra):
+    """R^(n+1) = R * R^(n), by hand, to the fixpoint."""
+    if algebra.dim == 0:
+        return algebra.zero_space(), 0
+    terms = [algebra.zero_space()]
+    while True:
+        current = terms[-1]
+        quot = quotient(algebra, current)
+        value = spec.evaluate(quot.quotient)
+        if not is_ideal(quot.quotient, value):
+            raise ContractError("evaluator %r returned a non-ideal" % spec.name)
+        nxt = quot.pull(value)
+        if nxt == current:
+            return current, max(1, len(terms) - 1)
+        terms.append(nxt)
+
+
+def test_preradical_series_match_their_loops():
+    pool = suite_corpus() + random_semidirect_products(10, 7) + [("zero", abelian(0))]
+    for name, alg in pool:
+        for key, spec in REGISTRY.items():
+            assert superposition_closure(spec, alg) == \
+                superposition_closure_reference(spec, alg), (name, key)
+            assert convolution_closure(spec, alg) == \
+                convolution_closure_reference(spec, alg), (name, key)
+
+
+def test_preradical_series_refuse_a_non_ideal_like_their_loops():
+    # the line of e on sl2 is a subalgebra but not an ideal
+    line = PreradicalSpec("line", lambda a: Subspace.span(a.dim, [a.basis_vector(0)]))
+    for series in (superposition_closure, superposition_closure_reference,
+                   convolution_closure, convolution_closure_reference):
+        with pytest.raises(ContractError, match="evaluator 'line' returned a non-ideal"):
+            series(line, corpus("sl2"))
+
+
+def chain_families() -> list:
+    """The chain fixtures of ``test_chains.py`` and seeded random families
+    in Q^4, each with its p- and s-completion."""
+    def span(n, *vectors):
+        return Subspace.span(n, vectors)
+
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    p12, p23, p13 = span(3, e1, e2), span(3, e2, e3), span(3, e1, e3)
+    full3, zero3 = Subspace.full(3), Subspace.zero(3)
+    base = [
+        (3, []), (3, [span(3, e1)]), (3, [p12, p23]), (3, [p12, p23, p13]),
+        (3, [span(3, e1), p12]), (3, [full3, zero3]), (3, [full3, span(3, e1), span(3, e2)]),
+        (3, [full3, span(3, e1, e3), span(3, e2, e3), span(3, e3), zero3]),
+        (3, [p12, p23, span(3, (1, 1, 1))]), (3, [p12, span(3, e3)]),
+        (2, [Subspace.full(2), span(2, (1, 0)), span(2, (0, 1))]),
+        (4, [Subspace.full(4), span(4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+             span(4, (1, 0, 0, 0), (0, 1, 0, 0)), span(4, (1, 0, 0, 0)), Subspace.zero(4)]),
+    ]
+    rng = random.Random(SEED)
+    for k in range(12):
+        members = [Subspace.span(4, [[rng.randint(-2, 2) for _ in range(4)]
+                                     for _ in range(rng.randrange(1, 4))])
+                   for _ in range(rng.randrange(1, 5))]
+        base.append((4, members + [Subspace.full(4)] * (k % 2)))
+    out = []
+    for n, members in base:
+        family = SubspaceFamily.of(n, members)
+        out += [family, p_completion(family), s_completion(family)]
+    return out
+
+
+CHAIN_FAMILIES = chain_families()
+
+
+def maximal_chain_reference(family, top, reverse_tiebreak=False) -> tuple:
+    """Greedy descent, by hand: the first maximal member below, sorted."""
+    chain = [top]
+    while True:
+        current = chain[-1]
+        below = [y for y in family if y != current and current.contains(y)]
+        if not below:
+            return tuple(chain)
+        maximal = [y for y in below
+                   if not any(z != y and z.contains(y) for z in below)]
+        maximal.sort(key=lambda s: s.sort_key(), reverse=reverse_tiebreak)
+        chain.append(maximal[0])
+
+
+def completion_reference(family, bound, combine, extra):
+    if len(family) > bound:
+        raise FamilySizeError("over the bound")
+    members = list(family.members)
+    out = [extra]
+    for size in range(1, len(members) + 1):
+        out.extend(combine(*combo) for combo in combinations(members, size))
+    return SubspaceFamily.of(family.ambient_dim, out)
+
+
+def lower_finite_gap_reference(family) -> bool:
+    meet = family_meet(family)
+    for z in family:
+        if z == meet:
+            continue
+        if not any(z != y and z.contains(y) for y in family):
+            return False
+    return True
+
+
+def test_family_operations_match_their_loops():
+    for family in CHAIN_FAMILIES:
+        for top in family:
+            for reverse in (False, True):
+                assert maximal_lower_finite_gap_chain(family, top, reverse) == \
+                    maximal_chain_reference(family, top, reverse)
+        # at most 2^8 subfamilies each, to keep the test fast
+        if len(family) <= 8:
+            assert p_completion(family) == completion_reference(
+                family, DEFAULT_COMPLETION_BOUND, span_intersect, family_join(family))
+            assert s_completion(family) == completion_reference(
+                family, DEFAULT_COMPLETION_BOUND, span_sum, family_meet(family))
+        assert is_lower_finite_gap(family) == lower_finite_gap_reference(family)
+    largest = max(CHAIN_FAMILIES, key=len)
+    for completion in (p_completion, s_completion):
+        with pytest.raises(FamilySizeError):
+            completion(largest, bound=len(largest) - 1)
+
+
+def homomorphism_reference(source, target, m) -> bool:
+    """The basis-pair loop that the iso-witness and subdirect checks each
+    carried: m [b_i, b_j] against [m b_i, m b_j] for i < j."""
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            lhs = m.apply(bracket(source, source.basis_vector(i), source.basis_vector(j)))
+            rhs = bracket(target, m.apply(source.basis_vector(i)),
+                          m.apply(source.basis_vector(j)))
+            if lhs != rhs:
+                return False
+    return True
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_homomorphism_check_matches_the_basis_pair_loop(data):
+    alg = data.draw(st.sampled_from(CLOSURE_ALGEBRAS))
+    t = unit_triangular_product(data.draw, alg.dim)
+    # t maps change_basis(alg, t) isomorphically onto alg
+    source, m = change_basis(alg, t), t
+    if data.draw(st.booleans()):
+        rows = [list(r) for r in m.data]
+        i, j = data.draw(st.integers(0, alg.dim - 1)), data.draw(st.integers(0, alg.dim - 1))
+        rows[i][j] += data.draw(st.sampled_from((1, -1, Fraction(1, 2))))
+        m = Matrix(rows)
+    expected = homomorphism_reference(source, alg, m)
+    assert _is_homomorphism(source, alg, m) == expected
+    if rank(m) == alg.dim:
+        # one component onto which the full-rank m maps: a subdirect
+        # embedding exactly when it is a homomorphism
+        assert verify_subdirect([alg], m, source) == expected
+        if expected:
+            _verify_iso_witness(source, alg, m)
+        else:
+            with pytest.raises(WitnessInvalidError, match="does not preserve brackets"):
+                _verify_iso_witness(source, alg, m)
+
+
+def test_homomorphism_check_reads_every_basis_pair():
+    # a Heisenberg algebra whose one bracket [b_a, b_b] = b_k sits at each
+    # pair in turn: the identity into abelian(4) fails only on that pair
+    for a, b in combinations(range(4), 2):
+        k = min(set(range(4)) - {a, b})
+        c = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        c[a][b][k], c[b][a][k] = 1, -1
+        source = LieAlgebra(4, ["b0", "b1", "b2", "b3"], c)
+        assert validate(source).ok
+        for check in (_is_homomorphism, homomorphism_reference):
+            assert not check(source, abelian(4), Matrix.identity(4)), (a, b)
+            assert check(source, source, Matrix.identity(4)), (a, b)
+
+
+def test_subdirect_embeddings_are_homomorphisms_by_both_checks():
+    for name, alg in suite_corpus() + random_semidirect_products(10, 7):
+        if not is_frattini_free(alg):
+            continue
+        algebras, embedding = assemble_subdirect_embedding(subdirect_components(alg))
+        product = direct_product(algebras)
+        assert _is_homomorphism(alg, product, embedding), name
+        assert homomorphism_reference(alg, product, embedding), name
+
+
+def restrict_reference(alg, space):
+    """The pairwise fill of the restriction, by hand."""
+    basis, m = space.basis, space.dim
+    if m == alg.dim:
+        return alg, basis
+    zero = (0,) * m
+    c = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            coords = space.coords_of(bracket(alg, basis.row(i), basis.row(j)))
+            if coords is None:
+                raise ContractError("restriction requires a subalgebra")
+            c[i][j] = coords
+            c[j][i] = tuple(-x for x in coords)
+    return LieAlgebra(m, ["s%d" % i for i in range(m)], c), basis
+
+
+def quotient_tensor_reference(alg, ideal) -> tuple:
+    """The pairwise fill of the quotient, by hand, over the free columns."""
+    free = [j for j in range(alg.dim) if j not in ideal.pivots]
+    m = len(free)
+
+    def project(vec):
+        v = ideal.reduce(vec)
+        return tuple(v[j] for j in free)
+
+    zero = (0,) * m
+    c = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            coords = project(alg.c[free[i]][free[j]])
+            c[i][j] = coords
+            c[j][i] = tuple(-x for x in coords)
+    return tuple(tuple(ci) for ci in c)
+
+
+@settings(deadline=None)
+@given(algebra_and_seed())
+def test_restriction_and_quotient_tensors_match_the_pairwise_fills(drawn):
+    alg, seed = drawn
+    for space in (subalgebra_closure(alg, seed), ideal_closure(alg, seed)):
+        sub, basis = restrict_to_subalgebra(alg, space)
+        ref, ref_basis = restrict_reference(alg, space)
+        assert (sub, sub.labels, basis) == (ref, ref.labels, ref_basis)
+    quot = quotient(alg, ideal_closure(alg, seed)).quotient
+    assert quot.c == quotient_tensor_reference(alg, ideal_closure(alg, seed))
+    if not is_subalgebra(alg, seed):
+        for restrict in (restrict_to_subalgebra, restrict_reference):
+            with pytest.raises(ContractError, match="restriction requires a subalgebra"):
+                restrict(alg, seed)
+
+
+def semidirect_reference(l1, l0, phi) -> LieAlgebra:
+    """The whole semidirect tensor filled by hand: l1, the action, l0."""
+    n1, n0 = l1.dim, l0.dim
+    n = n1 + n0
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n1):
+        for j in range(n1):
+            for k, x in enumerate(l1.c[i][j]):
+                c[i][j][k] = x
+    for i in range(n1):
+        for j in range(n0):
+            for k, x in enumerate(phi[i].column(j)):
+                c[i][n1 + j][n1 + k] = x
+                c[n1 + j][i][n1 + k] = -x
+    for i in range(n0):
+        for j in range(n0):
+            for k, x in enumerate(l0.c[i][j]):
+                c[n1 + i][n1 + j][n1 + k] = x
+    return LieAlgebra(n, list(l1.labels) + list(l0.labels), c)
+
+
+def test_semidirect_products_match_the_full_fill():
+    # each algebra acting on itself by ad, and the corpus actions on Q^k
+    triples = [(alg, alg, ad_of_basis(alg)) for alg in CLOSURE_ALGEBRAS]
+    triples.append((abelian(1), corpus("heis3"),
+                    [Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])]))
+    triples += [(alg, abelian(ops[0].rows), ops)
+                for alg, ops in ((corpus("sl2"), [Matrix([[0, 1], [0, 0]]),
+                                                  Matrix([[0, 0], [1, 0]]),
+                                                  Matrix([[1, 0], [0, -1]])]),
+                                 (abelian(1), [Matrix([[Fraction(1, 2), 1], [0, 3]])]))]
+    for l1, l0, phi in triples:
+        semi = semidirect_product(l1, l0, phi)
+        ref = semidirect_reference(l1, l0, phi)
+        assert (semi, semi.labels) == (ref, ref.labels)

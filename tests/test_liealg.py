@@ -256,6 +256,14 @@ def test_semidirect_rejects_bad_action():
         semidirect_product(s, abelian(2), bad)
 
 
+def test_semidirect_rejects_a_non_derivation_of_a_non_abelian_base():
+    # x -> x on heis3 sends [x, y] = z to z, but [x, y] + [x, y] = 2z; on an
+    # abelian base every operator is a derivation, so this branch needs one
+    with pytest.raises(ContractError,
+                       match="action operator is not a derivation of the base"):
+        semidirect_product(abelian(1), corpus("heis3"), [Matrix.identity(3)])
+
+
 def test_ideal_closure_series_heis3_depths():
     h = corpus("heis3")
     terms, depth = ideal_closure_series(h, span(3, E1))
