@@ -50,6 +50,7 @@ from .frattini import (
     is_jacobson_free,
     jacobson_ideal,
     jacobson_index,
+    largest_abelian_ideal_frattini_free,
     subdirect_components,
     verify_subdirect,
 )

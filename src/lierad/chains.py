@@ -137,14 +137,6 @@ def maximal_lower_finite_gap_chain(family: SubspaceFamily, top: Subspace,
     return _series(top, step).terms
 
 
-def restrict_family(family: SubspaceFamily, w: Subspace) -> SubspaceFamily:
-    """Elementwise intersection with a fixed subspace, deduplicated."""
-    if w.ambient_dim != family.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return SubspaceFamily.of(family.ambient_dim,
-                             [span_intersect(m, w) for m in family])
-
-
 def delta(family: SubspaceFamily) -> Subspace:
     """Common bottom of all maximal descending chains from the top.
 
@@ -165,14 +157,3 @@ def delta(family: SubspaceFamily) -> Subspace:
             "the family is not p-complete")
     return bottom
 
-
-def family_arrows(f: SubspaceFamily, g: SubspaceFamily) -> tuple[bool, bool]:
-    """(dir, inv): every f-member below / above some g-member.
-
-    The empty family points into anything by convention.
-    """
-    if f.ambient_dim != g.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    direct = all(any(z.contains(y) for z in g) for y in f)
-    inverse = all(any(y.contains(z) for z in g) for y in f)
-    return direct, inverse

@@ -30,10 +30,6 @@ class AlgebraValidationError(ValueError):
             % (list(report.antisymmetry_violations), list(report.jacobi_violations)))
 
 
-def rational_to_str(x) -> str:
-    return str(x)
-
-
 # Exponents are bounded like plain digit strings, which int() limits to 4,300
 # digits: Fraction expands "1e999999999" into a billion-digit integer.
 MAX_EXPONENT = 4300
@@ -66,7 +62,7 @@ def _checked_dim(data: dict, key: str) -> int:
 
 
 def subspace_to_json(space: Subspace) -> list:
-    return [[rational_to_str(x) for x in row] for row in space.vectors()]
+    return [[str(x) for x in row] for row in space.vectors()]
 
 
 def subspace_from_json(ambient_dim: int, rows: Sequence) -> Subspace:
@@ -82,7 +78,7 @@ def algebra_to_dict(algebra: LieAlgebra, name: str = "") -> dict:
             if any(x != 0 for x in coeffs):
                 brackets.append({
                     "i": i, "j": j,
-                    "c": [rational_to_str(x) for x in coeffs],
+                    "c": [str(x) for x in coeffs],
                 })
     return {
         "name": name or "algebra",

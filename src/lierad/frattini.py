@@ -39,7 +39,6 @@ from .liealg import (
     killing_form,
     quotient,
     restrict_to_subalgebra,
-    subalgebra_closure,
 )
 from .linalg import (
     Matrix,
@@ -495,12 +494,3 @@ def banach_radical_stubs(algebra: LieAlgebra) -> dict:
     zero = algebra.zero_space()
     return {"P_S": zero, "P_J": zero, "F": zero, "F_s": zero}
 
-
-def nongenerator_check(algebra: LieAlgebra, subalg: Subspace, x) -> bool:
-    """Whether adjoining x to a proper subalgebra still generates properly."""
-    if not is_subalgebra(algebra, subalg):
-        raise ContractError("nongenerator check requires a subalgebra")
-    if subalg.is_full():
-        raise ContractError("nongenerator check requires a proper subalgebra")
-    grown = span_sum(subalg, Subspace.span(algebra.dim, [x]))
-    return not subalgebra_closure(algebra, grown).is_full()

@@ -29,7 +29,6 @@ from typing import Callable, Optional, Sequence
 from .liealg import (
     ContractError,
     LieAlgebra,
-    _is_lie_homomorphism,
     ad_of_basis,
     bracket,
     bracket_spaces,
@@ -55,21 +54,15 @@ from .polys import factor_rational_poly, poly_mul, poly_trim
 
 @dataclass(frozen=True)
 class Action:
-    """Operators on Q^carrier_dim, optionally tied to an acting algebra."""
+    """Operators on Q^carrier_dim."""
 
     carrier_dim: int
     operators: tuple
-    source: Optional[LieAlgebra] = None
 
     def __post_init__(self):
         for op in self.operators:
             if op.rows != self.carrier_dim or op.cols != self.carrier_dim:
                 raise ContractError("action operator has wrong shape")
-        if self.source is not None:
-            if len(self.operators) != self.source.dim:
-                raise ContractError("one operator per acting basis element required")
-            if not _is_lie_homomorphism(self.source, self.operators):
-                raise ContractError("operators do not respect the source brackets")
 
 
 @dataclass(frozen=True)
@@ -78,10 +71,6 @@ class Envelope:
 
     carrier_dim: int
     basis: tuple
-
-
-def ad_action(algebra: LieAlgebra) -> Action:
-    return Action(algebra.dim, ad_of_basis(algebra), source=algebra)
 
 
 def _restricted(maps: Sequence[Callable], carrier: Subspace) -> Action:
@@ -171,17 +160,17 @@ def is_completely_reducible(action: Action) -> bool:
     return trace_radical(associative_envelope(action)).is_zero()
 
 
-def matrix_powers(m: Matrix) -> tuple[list, Matrix]:
-    """I, m, ..., m^(d-1), a basis of Q[m], and m^d, d = deg minpoly(m)."""
-    identity = Matrix.identity(m.rows)
-    powers = closure(m.rows * m.rows, [identity], [lambda p: p.mul(m)],
-                     Matrix.flatten)
-    return powers, powers[-1].mul(m) if powers else identity
+def matrix_powers(m: Matrix) -> list:
+    """I, m, ..., m^(d-1), a basis of Q[m], d = deg minpoly(m)."""
+    return closure(m.rows * m.rows, [Matrix.identity(m.rows)],
+                   [lambda p: p.mul(m)], Matrix.flatten)
 
 
 def minimal_polynomial(m: Matrix) -> list:
-    """Monic minimal polynomial, constant coefficient first."""
-    powers, nxt = matrix_powers(m)
+    """Monic minimal polynomial, constant coefficient first: m^d solved over
+    the basis I, m, ..., m^(d-1) of Q[m]; on Q^0, d = 0 and m^0 = I."""
+    powers = matrix_powers(m)
+    nxt = powers[-1].mul(m) if powers else Matrix.identity(m.rows)
     flats = [p.flatten() for p in powers]
     system = Matrix([[f[t] for f in flats] for t in range(m.rows * m.rows)])
     coeffs = [-c for c in solve(system, nxt.flatten())] + [Q1]

@@ -130,7 +130,7 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
     for k in range(2, last_k + 1):
         z = reduce(Matrix.add, [g.scale(k ** i) for i, g in enumerate(gens)],
                    Matrix.zeros(n, n))
-        powers, _ = matrix_powers(z)
+        powers = matrix_powers(z)
         rows = [[a.trace_of_product(p) for a in rad_ads.values()] for p in powers]
         coords = nullspace_matrix(Matrix(rows))
         result = embed_subspace(rad.basis, Subspace.span(rad.dim, coords.data))

@@ -11,7 +11,6 @@ from lierad.chains import (
     FamilySizeError,
     SubspaceFamily,
     delta,
-    family_arrows,
     family_join,
     family_meet,
     is_lower_finite_gap,
@@ -19,10 +18,9 @@ from lierad.chains import (
     is_upper_finite_gap,
     maximal_lower_finite_gap_chain,
     p_completion,
-    restrict_family,
     s_completion,
 )
-from lierad.linalg import Subspace, qq, span_sum
+from lierad.linalg import Subspace, qq, span_intersect, span_sum
 
 SEED = 20260810
 
@@ -135,19 +133,10 @@ def test_maximal_chain_requires_member_top():
         maximal_lower_finite_gap_chain(fam, Subspace.full(3))
 
 
-def test_restrict_family_fixtures():
-    planes = family(3, P12(), P23(), P13())
-    restricted = restrict_family(planes, P12())
-    assert set(restricted.members) == {P12(), span(3, E2), span(3, E1)}
-    to_zero = restrict_family(planes, Subspace.zero(3))
-    assert list(to_zero.members) == [Subspace.zero(3)]
-    assert restrict_family(planes, Subspace.full(3)) == planes
-
-
 def test_restriction_preserves_p_completeness_on_fixtures():
     completed = p_completion(family(3, P12(), P23(), P13()))
     for w in (P12(), span(3, E2), span(3, (1, 1, 0))):
-        restricted = restrict_family(completed, w)
+        restricted = SubspaceFamily.of(3, [span_intersect(m, w) for m in completed])
         assert p_completion(restricted) == restricted
 
 
@@ -183,30 +172,6 @@ def test_delta_chain_independence_on_completions():
                                                   reverse_tiebreak=True)
         assert forward[-1] == backward[-1]
         assert delta(completed) == forward[-1]
-
-
-def test_family_arrows_fixtures():
-    f = family(3, span(3, E1))
-    g = family(3, span(3, E1), P12())
-    direct, inverse = family_arrows(f, g)
-    assert direct and inverse
-    crossing_f = family(2, span(2, (1, 0)))
-    crossing_g = family(2, span(2, (0, 1)))
-    assert family_arrows(crossing_f, crossing_g) == (False, False)
-    empty = family(3)
-    assert family_arrows(empty, g) == (True, True)
-
-
-def test_family_arrows_imply_monotone_bounds():
-    f = family(3, span(3, E1), span(3, E2))
-    g = family(3, P12(), P23())
-    direct, _ = family_arrows(f, g)
-    assert direct
-    assert family_join(g).contains(family_join(f))
-    # reversed containment gives meet monotonicity
-    _, inverse = family_arrows(g, f)
-    assert inverse
-    assert family_meet(g).contains(family_meet(f))
 
 
 def test_random_completions_are_lower_finite_gap():

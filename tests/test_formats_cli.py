@@ -19,7 +19,7 @@ from lierad.formats import (
     save_algebra,
     str_to_rational,
 )
-from lierad.liealg import MAX_DIM, is_abelian, validate
+from lierad.liealg import MAX_DIM, abelian, validate
 from lierad.reports import analyze, report_to_json
 
 HEIS3_FILE = {
@@ -51,7 +51,7 @@ def test_round_trip_through_files(tmp_path):
 def test_empty_bracket_table_is_abelian():
     algebra = algebra_from_dict({"dim": 4, "basis": list("abcd"),
                                  "brackets": []})
-    assert is_abelian(algebra)
+    assert algebra == abelian(4)
 
 
 def test_out_of_range_index_names_the_entry():

@@ -22,7 +22,9 @@ series and the greedy maximal chain against their loops over ``_series``,
 ``_is_homomorphism`` against the basis-pair loop of the iso-witness and
 subdirect checks, the restriction, quotient and semidirect tensors against
 their own fills, and ``_completion`` and the lower finite-gap test against
-theirs.
+theirs.  ``semidirect_product``, which checks its action with ``validate``'s
+Jacobi test, refuses exactly the actions that the derivation and
+homomorphism loops it replaced reject.
 """
 
 from __future__ import annotations
@@ -705,14 +707,14 @@ def ideal_closure_series_reference(alg: LieAlgebra, space: Subspace):
         current_alg, _ = restrict_to_subalgebra(alg, nxt)
 
 
-def matrix_powers_reference(m: Matrix) -> tuple:
+def matrix_powers_reference(m: Matrix) -> list:
     """I, m, m^2, ... by repeated products until one is dependent."""
     powers = [Matrix.identity(m.rows)]
     while True:
         nxt = powers[-1].mul(m)
         if Subspace.span(m.rows ** 2, [p.flatten() for p in powers]) \
                 .contains_vector(nxt.flatten()):
-            return powers, nxt
+            return powers
         powers.append(nxt)
 
 
@@ -847,7 +849,7 @@ def test_operator_semidirect_spans_the_commutator_fixpoint(data):
 def test_the_empty_matrix_has_minimal_polynomial_one():
     # Q[m] = 0 on Q^0, so d = 0 and m^d = I
     empty = Matrix.zeros(0, 0)
-    assert matrix_powers(empty) == ([], empty)
+    assert matrix_powers(empty) == []
     assert minimal_polynomial(empty) == [1]
 
 
@@ -1211,3 +1213,127 @@ def test_semidirect_products_match_the_full_fill():
         semi = semidirect_product(l1, l0, phi)
         ref = semidirect_reference(l1, l0, phi)
         assert (semi, semi.labels) == (ref, ref.labels)
+
+
+def derivation_reference(algebra, op) -> bool:
+    """The loop ``semidirect_product`` ran per operator: D[b_i, b_j] =
+    [D b_i, b_j] + [b_i, D b_j] on every basis pair i < j."""
+    n = algebra.dim
+    for i in range(n):
+        ei = algebra.basis_vector(i)
+        for j in range(i + 1, n):
+            ej = algebra.basis_vector(j)
+            lhs = op.apply(bracket(algebra, ei, ej))
+            rhs1 = bracket(algebra, op.apply(ei), ej)
+            rhs2 = bracket(algebra, ei, op.apply(ej))
+            if any(a != b + c for a, b, c in zip(lhs, rhs1, rhs2)):
+                return False
+    return True
+
+
+def lie_homomorphism_reference(algebra, ops) -> bool:
+    """The loop ``semidirect_product`` ran on the action: [ops_i, ops_j] =
+    sum_k c_ij^k ops_k on every basis pair i < j."""
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            expected = Matrix.zeros(ops[i].rows, ops[i].cols)
+            for k, coeff in enumerate(algebra.c[i][j]):
+                if coeff != 0:
+                    expected = expected.add(ops[k].scale(coeff))
+            if ops[i].mul(ops[j]).sub(ops[j].mul(ops[i])) != expected:
+                return False
+    return True
+
+
+NOT_A_DERIVATION = "action operator is not a derivation of the base"
+NOT_A_HOMOMORPHISM = "action is not a Lie homomorphism"
+
+
+def semidirect_refusal(l1, l0, phi):
+    """The message ``semidirect_product`` refuses with, or None."""
+    try:
+        semidirect_product(l1, l0, phi)
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+def semidirect_actions() -> list:
+    """(l1, l0, phi) over Lie algebras l1 and l0: the ad and corpus actions,
+    the identity on heis3, scaled sl2 operators and random integer
+    operators on abelian bases; some are actions and some are not."""
+    e, f, h = (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]]),
+               Matrix([[1, 0], [0, -1]]))
+    e12, e23, e13 = (Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                     Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+                     Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
+    sl2, heis3 = corpus("sl2"), corpus("heis3")
+    out = [(alg, alg, ad_of_basis(alg)) for alg in CLOSURE_ALGEBRAS]
+    out += [(sl2, abelian(2), [e, f, h]),
+            (heis3, abelian(3), [e12, e23, e13]),
+            (corpus("aff1"), abelian(2), [Matrix([[1, 0], [0, 0]]), e]),
+            (abelian(1), heis3, [Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])]),
+            (abelian(1), abelian(2), [Matrix([[Fraction(1, 2), 1], [0, 3]])])]
+    identity = Matrix.identity(3)
+    out += [(abelian(1), heis3, [identity]), (heis3, heis3, [identity] * 3),
+            (heis3, heis3, [identity, Matrix.zeros(3, 3), Matrix.zeros(3, 3)])]
+    for t in (0, 1, -1, 2, Fraction(1, 2)):
+        out.append((sl2, abelian(2), [op.scale(qq(t)) for op in (e, f, h)]))
+        out.append((sl2, sl2, [op.scale(qq(t)) for op in ad_of_basis(sl2)]))
+    rng = random.Random(SEED)
+    for _ in range(40):
+        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        base = Matrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
+        if rng.random() < 0.5:
+            # powers of one matrix commute, so they act
+            ops = [reduce(Matrix.mul, [base] * (p + 1)) for p in range(m)]
+        else:
+            ops = [Matrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
+                   for _ in range(m)]
+        out.append((abelian(m), abelian(k), ops))
+        if k == 3:
+            out.append((heis3, abelian(3), [base, ops[0], base.mul(ops[0])]))
+    return out
+
+
+def test_semidirect_refuses_exactly_the_actions_a_reference_rejects():
+    verdicts = set()
+    for l1, l0, phi in semidirect_actions():
+        failing = set()
+        if not all(derivation_reference(l0, op) for op in phi):
+            failing.add(NOT_A_DERIVATION)
+        if not lie_homomorphism_reference(l1, phi):
+            failing.add(NOT_A_HOMOMORPHISM)
+        refusal = semidirect_refusal(l1, l0, phi)
+        if failing:
+            assert refusal in failing, (l1, l0)
+        else:
+            assert refusal is None, (l1, l0)
+        verdicts.add(frozenset(failing))
+    # every outcome is met: accepted, and each law failing alone and together
+    assert verdicts == {frozenset(), frozenset([NOT_A_DERIVATION]),
+                        frozenset([NOT_A_HOMOMORPHISM]),
+                        frozenset([NOT_A_DERIVATION, NOT_A_HOMOMORPHISM])}
+
+
+def test_semidirect_refuses_factors_that_break_jacobi_or_antisymmetry():
+    # sl2 with [e, f] = e in place of h: [e, [f, h]] + [f, [h, e]] + [h, [e, f]]
+    # = 2e - 2e + 2e, while the zero action passes both reference loops
+    c = [[list(cij) for cij in ci] for ci in corpus("sl2").c]
+    c[0][1], c[1][0] = [1, 0, 0], [-1, 0, 0]
+    broken = LieAlgebra(3, ["e", "f", "h"], c)
+    assert validate(broken).jacobi_violations == ((0, 1, 2),)
+    zero = [Matrix.zeros(3, 3)] * 3
+    assert all(derivation_reference(broken, op) for op in zero)
+    assert lie_homomorphism_reference(broken, [Matrix.zeros(1, 1)] * 3)
+    assert semidirect_refusal(broken, abelian(1), [Matrix.zeros(1, 1)] * 3) \
+        == NOT_A_HOMOMORPHISM
+    assert semidirect_refusal(abelian(1), broken, [Matrix.zeros(3, 3)]) \
+        == NOT_A_DERIVATION
+    # [b, b] = b breaks antisymmetry only
+    loop = LieAlgebra(1, ["b"], [[[1]]])
+    assert validate(loop).antisymmetry_violations == ((0, 0),)
+    assert semidirect_refusal(loop, abelian(1), [Matrix.zeros(1, 1)]) \
+        == NOT_A_HOMOMORPHISM
+    assert semidirect_refusal(abelian(1), loop, [Matrix.zeros(1, 1)]) \
+        == NOT_A_DERIVATION

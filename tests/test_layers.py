@@ -1,4 +1,5 @@
-"""The package imports in layer order, with every import at module level.
+"""The package imports in layer order, with every import at module level,
+and keeps only code that the package or the README reaches.
 
 Each module may import only modules earlier in ``LAYERS``, so there is no
 import cycle and no import needs to hide inside a function.  ``__init__``
@@ -8,9 +9,11 @@ re-exports from every layer and is exempt.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lierad"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lierad"
 
 LAYERS = ("linalg", "polys", "liealg", "modules", "radicals", "frattini",
           "chains", "formats", "corpus", "reports", "acceptance", "cli")
@@ -66,3 +69,35 @@ def test_modules_import_only_earlier_layers():
                     backwards.append("%s.py:%d imports %s"
                                      % (name, node.lineno, target))
     assert backwards == []
+
+
+def names_in(node: ast.AST) -> set:
+    """The identifiers a node reads, imports or takes an attribute by."""
+    found = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            found.add(inner.id)
+        elif isinstance(inner, ast.Attribute):
+            found.add(inner.attr)
+        elif isinstance(inner, ast.alias):
+            found.add(inner.name)
+    return found
+
+
+def test_every_top_level_definition_is_reached_outside_the_tests():
+    """A function or class that nothing in ``src/`` names, other than its own
+    definition, and that the README does not name is reached only by the
+    tests: it is dead code, a test oracle, or API that needs documenting."""
+    statements = [node for p in PACKAGE.glob("*.py")
+                  for node in ast.parse(p.read_text(encoding="utf-8"), str(p)).body]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unreached = []
+    for node in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        named = any(node.name in names_in(other)
+                    for other in statements if other is not node)
+        if not named and not re.search(r"\b%s\b" % re.escape(node.name), readme):
+            unreached.append(node.name)
+    assert sorted(unreached) == []

@@ -12,7 +12,7 @@ import lierad.modules as modules_module
 from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, suite_corpus
 from lierad.frattini import is_frattini_free
-from lierad.liealg import ContractError, bracket_spaces
+from lierad.liealg import ContractError, ad_of_basis, bracket_spaces
 from lierad.linalg import (
     Matrix,
     SpanBuilder,
@@ -25,7 +25,6 @@ from lierad.linalg import (
 from lierad.modules import (
     Action,
     _poly_of_matrix,
-    ad_action,
     associative_envelope,
     commutant,
     decompose_module,
@@ -44,6 +43,10 @@ from lierad.radicals import nilradical
 
 def span(n, *vectors):
     return Subspace.span(n, [[qq(x) for x in v] for v in vectors])
+
+
+def ad_action(algebra) -> Action:
+    return Action(algebra.dim, ad_of_basis(algebra))
 
 
 def diag(*entries):
@@ -466,13 +469,6 @@ def test_split_requires_abelian_ideal():
     s = corpus("sl2")
     with pytest.raises(ContractError):
         split_over_abelian_ideal(s, span(3, (1, 0, 0)))  # not an ideal
-
-
-def test_action_validates_bracket_compatibility():
-    s = corpus("sl2")
-    bad_ops = (Matrix.identity(2),) * 3
-    with pytest.raises(ContractError):
-        Action(2, bad_ops, source=s)
 
 
 def test_weyl_on_levi_action():
