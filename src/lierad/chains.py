@@ -2,14 +2,13 @@
 
 Families are explicit finite sets (the lattice-theoretic source families can
 be infinite even at finite dimension, so this module consumes families
-produced by reports or user input).  Completions enumerate the powerset and
-are therefore bounded; the default cap of 16 members can be overridden.
+produced by reports or user input).  A completion makes at most n * |output|
+meets or joins on n members; the input cap of 16 members can be overridden.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .linalg import Subspace, _series, span_intersect, span_sum
@@ -28,14 +27,11 @@ class SubspaceFamily:
 
     @staticmethod
     def of(ambient_dim: int, members: Iterable[Subspace]) -> "SubspaceFamily":
-        seen = []
-        for m in members:
-            if m.ambient_dim != ambient_dim:
-                raise ValueError("family member has wrong ambient dimension")
-            if m not in seen:
-                seen.append(m)
-        seen.sort(key=lambda s: s.sort_key())
-        return SubspaceFamily(ambient_dim, tuple(seen))
+        unique = dict.fromkeys(members)
+        if any(m.ambient_dim != ambient_dim for m in unique):
+            raise ValueError("family member has wrong ambient dimension")
+        return SubspaceFamily(ambient_dim,
+                              tuple(sorted(unique, key=Subspace.sort_key)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -61,17 +57,20 @@ def _completion(family: SubspaceFamily, bound: int, combine,
                 extra) -> SubspaceFamily:
     """combine(*subfamily) over the nonempty subfamilies, plus extra(family).
 
-    Refused above ``bound`` members: there are 2^n - 1 subfamilies.
+    Proof of the one pass.  If C holds the combines of the nonempty
+    subfamilies of the members before m, those of the members up to m are
+    C, m and combine(m, x) for x in C, since meet and join are associative
+    and commutative.  So at most n * |output| pairwise combines are made.
+    Refused above ``bound`` input members.
     """
     if len(family) > bound:
         raise FamilySizeError(
             "family of %d members exceeds the completion bound %d"
             % (len(family), bound))
-    members = family.members
-    out = [extra(family)]
-    for size in range(1, len(members) + 1):
-        out.extend(combine(*combo) for combo in combinations(members, size))
-    return SubspaceFamily.of(family.ambient_dim, out)
+    found = set()
+    for m in family:
+        found |= {m, *(combine(m, x) for x in found)}
+    return SubspaceFamily.of(family.ambient_dim, [*found, extra(family)])
 
 
 def p_completion(family: SubspaceFamily,
@@ -93,13 +92,8 @@ def is_lower_finite_gap(family: SubspaceFamily) -> bool:
 
 
 def is_upper_finite_gap(family: SubspaceFamily) -> bool:
-    join = family_join(family)
-    for z in family:
-        if z == join:
-            continue
-        if not any(z != y and y.contains(z) for y in family):
-            return False
-    return True
+    """Every member other than the join has a member properly above it."""
+    return _finite_gap(family, family, family_join(family), lambda z, y: y.contains(z))
 
 
 def is_lower_finite_gap_modulo(family: SubspaceFamily,
@@ -107,13 +101,15 @@ def is_lower_finite_gap_modulo(family: SubspaceFamily,
     """Lower finite-gap where witnesses may come from the union family."""
     union = SubspaceFamily.of(family.ambient_dim,
                               list(family.members) + list(other.members))
-    meet = family_meet(union)
-    for z in family:
-        if z == meet:
-            continue
-        if not any(z != y and z.contains(y) for y in union):
-            return False
-    return True
+    return _finite_gap(family, union, family_meet(union), Subspace.contains)
+
+
+def _finite_gap(family: SubspaceFamily, witnesses: SubspaceFamily,
+                extreme: Subspace, beyond) -> bool:
+    """Every member z other than ``extreme`` has a witness y != z with
+    beyond(z, y): y properly below z, or properly above it."""
+    return all(z == extreme or any(z != y and beyond(z, y) for y in witnesses)
+               for z in family)
 
 
 def maximal_lower_finite_gap_chain(family: SubspaceFamily, top: Subspace,
@@ -141,14 +137,13 @@ def delta(family: SubspaceFamily) -> Subspace:
     """Common bottom of all maximal descending chains from the top.
 
     Requires the join to be a member; computed as the meet of the members
-    reachable by a chain from the top (every member, for an explicit finite
-    family) and cross-checked against two differently tie-broken maximal
-    chains.
+    reachable by a chain from the top (every member lies under the join) and
+    cross-checked against two differently tie-broken maximal chains.
     """
     top = family_join(family)
     if top not in family:
         raise ValueError("the family join is not a member")
-    bottom = span_intersect(top, *[y for y in family if top.contains(y)])
+    bottom = family_meet(family)
     forward = maximal_lower_finite_gap_chain(family, top)
     backward = maximal_lower_finite_gap_chain(family, top, reverse_tiebreak=True)
     if forward[-1] != bottom or backward[-1] != bottom:

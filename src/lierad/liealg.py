@@ -649,7 +649,8 @@ def operator_semidirect(operators: Sequence[Matrix],
                         labels: Optional[Sequence[str]] = None) -> LieAlgebra:
     """Semidirect product (span of the operators) |x Q^k per [.,.] = ay - bx.
 
-    The operator list is closed under commutators first if needed.
+    The operator list is closed under commutators first if needed.  Only
+    the commutators of pairs i < j are solved into ``_antisymmetric``.
     """
     if not operators:
         raise ContractError("operator list must be non-empty")
@@ -669,16 +670,16 @@ def operator_semidirect(operators: Sequence[Matrix],
     # coordinates in the basis `mats` itself (columns = flattened operators)
     flats = [op.flatten() for op in mats]
     coord_system = Matrix([[f[t] for f in flats] for t in range(k * k)])
-    c = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            comm = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
-            coords = solve(coord_system, comm.flatten())
-            if coords is None:
-                raise ContractError("commutator escaped the operator span")
-            c[i][j] = coords
+
+    def coords(i: int, j: int) -> tuple:
+        comm = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
+        found = solve(coord_system, comm.flatten())
+        if found is None:
+            raise ContractError("commutator escaped the operator span")
+        return found
+
     if labels is None:
         labels = ["m%d" % (i + 1) for i in range(m)]
-    l1 = LieAlgebra(m, labels, c)
+    l1 = LieAlgebra(m, labels, _antisymmetric(m, coords))
     l0 = abelian(k, prefix="v")
     return semidirect_product(l1, l0, mats)

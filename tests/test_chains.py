@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from lierad import chains
 from lierad.chains import (
     DEFAULT_COMPLETION_BOUND,
     FamilySizeError,
@@ -84,6 +85,36 @@ def test_completion_bound_is_enforced():
     with pytest.raises(FamilySizeError):
         p_completion(fam, bound=3)
     assert len(p_completion(fam, bound=DEFAULT_COMPLETION_BOUND)) > 0
+
+
+def test_completions_make_at_most_n_times_output_combines(monkeypatch):
+    # a nested flag of 16 members in Q^16 is its own p- and s-completion;
+    # combining every nonempty subfamily would take 65,535 combines
+    n = 16
+    flag = family(n, *[span(n, *[tuple(int(i == j) for i in range(n)) for j in range(k)])
+                       for k in range(1, n + 1)])
+    calls = []
+    for name in ("span_intersect", "span_sum"):
+        monkeypatch.setattr(chains, name,
+                            lambda *s, f=getattr(chains, name): calls.append(f) or f(*s))
+    for completion in (p_completion, s_completion):
+        calls.clear()
+        assert completion(flag) == flag
+        assert len(calls) <= len(flag) * len(flag)
+
+
+def test_family_of_compares_members_a_linear_number_of_times(monkeypatch):
+    lines = [span(2, (1, k)) for k in range(4000)]
+    copies = [span(2, (1, k)) for k in range(100)]
+    calls = []
+    eq = Subspace.__eq__
+    monkeypatch.setattr(Subspace, "__eq__", lambda a, b: calls.append(a) or eq(a, b))
+    fam = SubspaceFamily.of(2, lines + copies)
+    assert len(calls) <= len(lines) + len(copies)
+    monkeypatch.undo()
+    assert fam.members == tuple(sorted(lines, key=Subspace.sort_key))
+    with pytest.raises(ValueError, match="wrong ambient dimension"):
+        SubspaceFamily.of(3, lines)
 
 
 def test_lower_finite_gap_fixtures():

@@ -21,10 +21,12 @@ nilpotency against the power loop, the superposition and convolution
 series and the greedy maximal chain against their loops over ``_series``,
 ``_is_homomorphism`` against the basis-pair loop of the iso-witness and
 subdirect checks, the restriction, quotient and semidirect tensors against
-their own fills, and ``_completion`` and the lower finite-gap test against
-theirs.  ``semidirect_product``, which checks its action with ``validate``'s
-Jacobi test, refuses exactly the actions that the derivation and
-homomorphism loops it replaced reject.
+their own fills, the ``operator_semidirect`` tensor against its per-pair
+fill, and ``_completion`` (also on generic hyperplanes, whose completions
+have 2^n members) and the lower and upper finite-gap tests against theirs.
+``semidirect_product``, which checks its action with ``validate``'s Jacobi
+test, refuses exactly the actions that the derivation and homomorphism
+loops it replaced reject.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from lierad.chains import (  # noqa: E402
     family_join,
     family_meet,
     is_lower_finite_gap,
+    is_upper_finite_gap,
     maximal_lower_finite_gap_chain,
     p_completion,
     s_completion,
@@ -718,6 +721,24 @@ def matrix_powers_reference(m: Matrix) -> list:
         powers.append(nxt)
 
 
+def operator_tensor_reference(mats, k: int) -> list:
+    """The per-pair fill ``operator_semidirect`` ran: the commutator of every
+    ordered pair (i, j), diagonal included, solved in the basis ``mats`` of
+    k x k matrices."""
+    flats = [a.flatten() for a in mats]
+    coord_system = Matrix([[f[t] for f in flats] for t in range(k * k)])
+    c = []
+    for a in mats:
+        row = []
+        for b in mats:
+            coords = solve(coord_system, a.mul(b).sub(b.mul(a)).flatten())
+            if coords is None:
+                raise ContractError("commutator escaped the operator span")
+            row.append(coords)
+        c.append(row)
+    return c
+
+
 def lie_closure_reference(operators) -> Subspace:
     """The operator span closed under pairwise commutators to the fixpoint."""
     k = operators[0].rows
@@ -840,6 +861,8 @@ def test_operator_semidirect_spans_the_commutator_fixpoint(data):
             for i in range(m)]
     expected = lie_closure_reference(ops)
     assert Subspace.span(k * k, [a.flatten() for a in mats]) == expected
+    assert [[alg.c[i][j][:m] for j in range(m)] for i in range(m)] == \
+        operator_tensor_reference(mats, k)
     assert m == expected.dim
     if Subspace.span(k * k, [op.flatten() for op in ops]) == expected \
             and len(ops) == expected.dim:
@@ -1045,8 +1068,33 @@ def lower_finite_gap_reference(family) -> bool:
     return True
 
 
+def upper_finite_gap_reference(family) -> bool:
+    join = family_join(family)
+    for z in family:
+        if z == join:
+            continue
+        if not any(z != y and y.contains(z) for y in family):
+            return False
+    return True
+
+
+def generic_hyperplanes(n: int) -> SubspaceFamily:
+    """The kernels of (1, t, ..., t^(n-1)) for t = 1..n in Q^n: any k of
+    these functionals are independent (Vandermonde), so the meets of the
+    2^n - 1 nonempty subfamilies are distinct and p-completion has 2^n
+    members."""
+    return SubspaceFamily.of(n, [
+        Subspace.span(n, nullspace_matrix(Matrix([[t ** e for e in range(n)]])).data)
+        for t in range(1, n + 1)])
+
+
+HYPERPLANE_FAMILIES = [generic_hyperplanes(n) for n in (2, 3, 5, 8)]
+
+
 def test_family_operations_match_their_loops():
-    for family in CHAIN_FAMILIES:
+    for family in HYPERPLANE_FAMILIES:
+        assert len(p_completion(family)) == 2 ** len(family)
+    for family in CHAIN_FAMILIES + HYPERPLANE_FAMILIES:
         for top in family:
             for reverse in (False, True):
                 assert maximal_lower_finite_gap_chain(family, top, reverse) == \
@@ -1058,6 +1106,7 @@ def test_family_operations_match_their_loops():
             assert s_completion(family) == completion_reference(
                 family, DEFAULT_COMPLETION_BOUND, span_sum, family_meet(family))
         assert is_lower_finite_gap(family) == lower_finite_gap_reference(family)
+        assert is_upper_finite_gap(family) == upper_finite_gap_reference(family)
     largest = max(CHAIN_FAMILIES, key=len)
     for completion in (p_completion, s_completion):
         with pytest.raises(FamilySizeError):
