@@ -119,16 +119,25 @@ def maximal_lower_finite_gap_chain(family: SubspaceFamily, top: Subspace,
     Greedy: repeatedly step to a maximal member strictly below the current
     one; this yields an inclusion-maximal chain among those with maximum
     `top`.  Tie-break by the canonical basis key (or its reverse).
+
+    ``SubspaceFamily.of`` sorts the members by key, which orders by
+    dimension first, so the largest key below is maximal (the reverse pick).
+    Walked from the largest key down, the members below that no kept one of
+    larger dimension contains are exactly the maximal ones: a non-maximal
+    member lies in a maximal one, which is met first.
     """
     if top not in family:
         raise ValueError("top is not a member of the family")
-    pick = max if reverse_tiebreak else min
 
     def step(current: Subspace) -> Subspace:
-        below = [y for y in family if y != current and current.contains(y)]
-        maximal = [y for y in below
-                   if not any(z != y and z.contains(y) for z in below)]
-        return pick(maximal, key=Subspace.sort_key, default=current)
+        below = [y for y in family if y.dim < current.dim and current.contains(y)]
+        if reverse_tiebreak:
+            return below[-1] if below else current
+        maximal = []
+        for y in reversed(below):
+            if not any(z.dim > y.dim and z.contains(y) for z in maximal):
+                maximal.append(y)
+        return maximal[-1] if maximal else current
 
     return _series(top, step).terms
 

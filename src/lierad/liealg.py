@@ -37,6 +37,7 @@ from .linalg import (
     rank,
     rref,
     solve,
+    trace_gram,
 )
 
 
@@ -301,15 +302,24 @@ def center(algebra: LieAlgebra) -> Subspace:
     return centralizer(algebra, algebra.full_space())
 
 
+def derived_series_of(algebra: LieAlgebra, space: Subspace) -> SeriesResult:
+    """S, [S, S], ... for a subalgebra S, in L's coordinates (S's own terms)."""
+    return _series(space, lambda t: bracket_spaces(algebra, t, t))
+
+
+def lower_central_series_of(algebra: LieAlgebra, space: Subspace) -> SeriesResult:
+    """S, [S, S], [S, [S, S]], ... in L's own coordinates, likewise."""
+    return _series(space, lambda t: bracket_spaces(algebra, space, t))
+
+
 @lru_cache(maxsize=None)
 def derived_series(algebra: LieAlgebra) -> SeriesResult:
-    return _series(algebra.full_space(), lambda t: bracket_spaces(algebra, t, t))
+    return derived_series_of(algebra, algebra.full_space())
 
 
 @lru_cache(maxsize=None)
 def lower_central_series(algebra: LieAlgebra) -> SeriesResult:
-    full = algebra.full_space()
-    return _series(full, lambda t: bracket_spaces(algebra, full, t))
+    return lower_central_series_of(algebra, algebra.full_space())
 
 
 def solvability_index(algebra: LieAlgebra) -> Optional[int]:
@@ -346,15 +356,7 @@ def stable_lower_central_term(algebra: LieAlgebra) -> Subspace:
 
 @lru_cache(maxsize=None)
 def killing_form(algebra: LieAlgebra) -> Matrix:
-    n = algebra.dim
-    ads = ad_of_basis(algebra)
-    out = [[Q0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = ads[i].trace_of_product(ads[j])
-            out[i][j] = t
-            out[j][i] = t
-    return Matrix(out)
+    return trace_gram(ad_of_basis(algebra))
 
 
 def killing_rank(algebra: LieAlgebra) -> int:

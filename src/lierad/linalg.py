@@ -225,6 +225,15 @@ def matrix_from_flat(entries: Sequence, rows: int, cols: int) -> Matrix:
                   cols=cols)
 
 
+def trace_gram(mats: Sequence[Matrix]) -> Matrix:
+    """The symmetric matrix of tr(a_i a_j), each pair i <= j traced once."""
+    out = [[Q0] * len(mats) for _ in mats]
+    for i, a in enumerate(mats):
+        for j in range(i, len(mats)):
+            out[i][j] = out[j][i] = a.trace_of_product(mats[j])
+    return Matrix(out, cols=len(mats))
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and pivot columns; row space preserved."""
     nrows, ncols = m.rows, m.cols

@@ -48,6 +48,7 @@ from .linalg import (
     nullspace_sparse,
     solve,
     span_sum,
+    trace_gram,
 )
 from .polys import factor_rational_poly, poly_mul, poly_trim
 
@@ -135,17 +136,8 @@ def trace_radical(envelope: Envelope) -> Subspace:
     Solves tr(a * b_k) = 0 over the basis; the result is certified to span a
     nilpotent two-sided ideal before being returned.
     """
-    k = len(envelope.basis)
-    if k == 0:
-        return Subspace.zero(0)
-    gram = [[Q0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            t = envelope.basis[i].trace_of_product(envelope.basis[j])
-            gram[i][j] = t
-            gram[j][i] = t
-    ker = nullspace_matrix(Matrix(gram))
-    radical = Subspace.span(k, ker.data)
+    radical = Subspace.span(len(envelope.basis),
+                            nullspace_matrix(trace_gram(envelope.basis)).data)
     if radical.is_zero():
         return radical
     n = envelope.carrier_dim

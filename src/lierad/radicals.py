@@ -10,9 +10,11 @@ decomposition of centroid elements, ``modules.direct_summands``), where a
 1-dim centroid of a semisimple summand certifies it simple.  The Jacobson
 ideal is [L, rad].
 
-Every constructor returns its certificate alongside nothing: the functions
-raise if their own output fails the checks the theory promises (solvable
-output, semisimple quotient, nilpotent ideal, nondegenerate complement).
+Every constructor raises if its output fails the checks the theory
+promises (solvable output, semisimple quotient, nilpotent ideal,
+nondegenerate complement).  The series and Killing forms of ideals are read
+in L's own coordinates; ``restrict_to_subalgebra`` builds a new algebra only
+for superposition steps, the Levi lift and the Levi subalgebra's Killing form.
 """
 
 from __future__ import annotations
@@ -28,26 +30,25 @@ from .liealg import (
     bracket_spaces,
     center,
     centralizer,
-    derived_series,
+    derived_series_of,
     embed_subspace,
     is_ideal,
     is_killing_nondegenerate,
-    is_nilpotent,
     is_subalgebra,
     killing_form,
+    lower_central_series_of,
     quotient,
     restrict_to_subalgebra,
-    solvability_index,
     stable_derived_term,
     stable_lower_central_term,
 )
 from .linalg import (
     _series,
     Matrix,
-    Q0,
     Subspace,
     closure,
     nullspace_matrix,
+    rank,
     span_intersect,
     span_sum,
 )
@@ -69,26 +70,16 @@ class LeviDecomposition:
 
 
 def _solvability_index_of(algebra: LieAlgebra, space: Subspace) -> Optional[int]:
-    if space.is_zero():
-        return 0
-    sub, _ = restrict_to_subalgebra(algebra, space)
-    return solvability_index(sub)
+    """Solvability index of a subalgebra of L (0 on 0), None if not solvable."""
+    series = derived_series_of(algebra, space)
+    return series.stable_index if series.reaches_zero() else None
 
 
 @lru_cache(maxsize=None)
 def solvable_radical(algebra: LieAlgebra) -> Subspace:
     """Largest solvable ideal, as the Killing-orthogonal of [L, L]."""
-    n = algebra.dim
-    derived = bracket_spaces(algebra, algebra.full_space(), algebra.full_space())
-    kappa = killing_form(algebra)
-    rows = []
-    for d in derived.vectors():
-        rows.append([sum((kappa.entry(i, j) * d[j] for j in range(n)), Q0)
-                     for i in range(n)])
-    if rows:
-        result = Subspace.span(n, nullspace_matrix(Matrix(rows)).data)
-    else:
-        result = algebra.full_space()
+    rows = _derived_map(algebra).basis.mul(killing_form(algebra))
+    result = Subspace.span(algebra.dim, nullspace_matrix(rows).data)
     if not is_ideal(algebra, result):
         raise AssertionError("solvable radical candidate is not an ideal")
     if _solvability_index_of(algebra, result) is None:
@@ -135,7 +126,7 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
         coords = nullspace_matrix(Matrix(rows))
         result = embed_subspace(rad.basis, Subspace.span(rad.dim, coords.data))
         if (result.contains(commutator) and is_ideal(algebra, result)
-                and is_nilpotent(restrict_to_subalgebra(algebra, result)[0])):
+                and lower_central_series_of(algebra, result).reaches_zero()):
             return result
     raise AssertionError("no nilradical candidate passed for k = 2 .. %d" % last_k)
 
@@ -169,10 +160,7 @@ def _levi_complement(algebra: LieAlgebra, rad: Subspace) -> Subspace:
         return algebra.full_space()
     if rad.is_full():
         return algebra.zero_space()
-    rad_alg, rad_basis = restrict_to_subalgebra(algebra, rad)
-    series = derived_series(rad_alg)
-    last_nonzero = series.terms[series.stable_index - 1]
-    abelian_layer = embed_subspace(rad_basis, last_nonzero)
+    abelian_layer = derived_series_of(algebra, rad).terms[-2]  # last nonzero
     quot = quotient(algebra, abelian_layer)
     upper_levi = _levi_complement(quot.quotient, quot.push(rad))
     pulled = quot.pull(upper_levi)
@@ -197,16 +185,12 @@ def decompose_semisimple(algebra: LieAlgebra) -> tuple:
     if not is_killing_nondegenerate(algebra):
         raise ContractError("decompose_semisimple requires a nondegenerate Killing form")
     parts = direct_summands(algebra)
-    kappa = killing_form(algebra)
     for i, a in enumerate(parts):
         if not is_ideal(algebra, a):
             raise AssertionError("semisimple summand is not an ideal")
         for b in parts[i + 1:]:
-            for u in a.vectors():
-                ku = kappa.apply(u)
-                for v in b.vectors():
-                    if sum((x * y for x, y in zip(ku, v)), Q0) != 0:
-                        raise AssertionError("summands are not Killing-orthogonal")
+            if not a.basis.mul(killing_form(algebra)).mul(b.basis.transpose()).is_zero():
+                raise AssertionError("summands are not Killing-orthogonal")
     if sum(p.dim for p in parts) != algebra.dim:
         raise AssertionError("semisimple summands do not span")
     return parts
@@ -228,6 +212,12 @@ def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
     and T = I by dimension.  S cap (I + R) is such a T, so I lies in S and
     in C_L(R).  Conversely C_S(R) is a semisimple ideal of L: it is an ideal
     of S by the Jacobi identity, as [S, R] lies in R, and [R, C_S(R)] = 0.
+
+    The check rank(B κ_L B^T) = dim, B the basis, reads the Killing form of
+    an ideal I as κ_L on I (Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, Lemma 5.1).  Proof.  For x, y in I, ad x ad y
+    maps L into I, so in a basis of L extending one of I its trace is that
+    of its block on I, tr(ad_I x ad_I y).
     """
     levi = levi_subalgebra(algebra)
     if levi.levi.is_zero():
@@ -236,8 +226,8 @@ def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
     if not total.is_zero():
         if not is_ideal(algebra, total):
             raise AssertionError("semisimple ideal candidate is not an ideal")
-        sub, _ = restrict_to_subalgebra(algebra, total)
-        if not is_killing_nondegenerate(sub):
+        basis = total.basis
+        if rank(basis.mul(killing_form(algebra)).mul(basis.transpose())) != total.dim:
             raise AssertionError("semisimple ideal candidate is degenerate")
     return total
 

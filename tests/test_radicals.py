@@ -19,17 +19,22 @@ from lierad.liealg import (
     center,
     change_basis,
     derived_series,
+    derived_series_of,
     direct_product,
     embed_subspace,
     ideal_closure,
     is_ideal,
     is_killing_nondegenerate,
     is_nilpotent,
+    killing_form,
+    killing_rank,
+    lower_central_series_of,
     quotient,
     restrict_to_subalgebra,
+    solvability_index,
     stable_derived_term,
 )
-from lierad.linalg import Matrix, Subspace, nullspace_matrix, qq, solve, span_sum
+from lierad.linalg import Matrix, Subspace, nullspace_matrix, qq, rank, solve, span_sum
 from lierad.modules import Action, associative_envelope
 from lierad.radicals import (
     DERIVED_MAP,
@@ -132,11 +137,15 @@ def test_nilradical_certificate_fires_on_a_scalars_only_envelope(monkeypatch):
     assert ad_matrix(alg, (1, 0, 0, 1, 0, 1)).is_zero()
     verdicts = []
 
-    def spy(sub):
-        verdicts.append((sub.dim, is_nilpotent(sub)))
-        return verdicts[-1][1]
+    # the certificate: the candidate's lower central series, read in L
+    real_series = radicals.lower_central_series_of
 
-    monkeypatch.setattr(radicals, "is_nilpotent", spy)
+    def spy(algebra, space):
+        series = real_series(algebra, space)
+        verdicts.append((space.dim, series.reaches_zero()))
+        return series
+
+    monkeypatch.setattr(radicals, "lower_central_series_of", spy)
     # the k = 1 element every time: m = 3 generators and n = 6 allow at most
     # (m - 1) n (n - 1) / 2 = 30 bad k, so the loop stops after 31
     real_powers = radicals.matrix_powers
@@ -387,6 +396,35 @@ def test_restriction_roundtrip_inside_superposition():
     assert stable_derived_term(sub) == sub.full_space()
     assert bracket_spaces(sub, sub.full_space(), sub.full_space()) == \
         sub.full_space()
+
+
+def test_series_read_in_l_match_the_restricted_algebra():
+    # the restricted path kept as the oracle: the series, solvability index,
+    # nilpotency verdict and Killing rank of each ideal, read in L, against
+    # those of restrict_to_subalgebra(L, I)
+    pool = (suite_corpus() + [("ut(%d)" % n, corpus("ut", n)) for n in range(3, 7)]
+            + random_semidirect_products(25, 20260810))
+    seen = set()
+    for name, alg in pool:
+        ideals = [solvable_radical(alg), nilradical(alg), center(alg),
+                  jacobson_ideal(alg), levi_radical(alg),
+                  *derived_series(alg).terms]
+        for ideal in dict.fromkeys(ideals):
+            sub, basis = restrict_to_subalgebra(alg, ideal)
+            derived = derived_series_of(alg, ideal)
+            assert derived.terms == tuple(
+                embed_subspace(basis, t) for t in derived_series(sub).terms), name
+            index = radicals._solvability_index_of(alg, ideal)
+            assert index == solvability_index(sub), name
+            nilpotent = lower_central_series_of(alg, ideal).reaches_zero()
+            assert nilpotent == is_nilpotent(sub), name
+            gram = basis.mul(killing_form(alg)).mul(basis.transpose())
+            assert rank(gram) == killing_rank(sub), name
+            seen.add((index is None, nilpotent, rank(gram) == ideal.dim > 0))
+    # non-solvable, solvable but not nilpotent, nilpotent, and both
+    # nondegenerate and degenerate nonzero Killing forms all occur
+    assert {(True, False, True), (True, False, False), (False, False, False),
+            (False, True, False)} <= seen
 
 
 STRUCTURE_EXTRAS = ("direct(sl2,sl2_v2)", "direct(sl2_v2,heis3)",
