@@ -12,6 +12,11 @@ Graaf, *Lie Algebras: Theory and Algorithms* (2000), ch. 1: ``bracket``,
 ``ad_matrix``, ``centralizer`` and the Jacobi sums of ``validate`` touch only
 those entries.  The support is read from the dense tensor, so none of them
 assumes antisymmetry.
+
+Products of subspaces [U, V] (``bracket_spaces``) are memoized per
+(L, U, V), like the center, the two series, the Killing form and Der(L):
+the series, ideal tests, commutators and Frattini-free checks of one
+analysis ask for the same products many times.
 """
 
 from __future__ import annotations
@@ -225,6 +230,7 @@ def ad_of_basis(algebra: LieAlgebra) -> tuple:
                  for ci in algebra.c)
 
 
+@lru_cache(maxsize=None)
 def bracket_spaces(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """[U, V], the span of the brackets of the basis vectors of U and V.
 
@@ -233,6 +239,13 @@ def bracket_spaces(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     and [x, x] = 0 add nothing to the span.  Each pair is bracketed once;
     zero and repeated brackets are dropped before the span, which they do
     not change.
+
+    Memoized per (L, U, V), so every series step, ideal test and
+    commutator of one analysis forms each product once.  The memo cannot
+    change an answer: the result reads only the structure tensor and the
+    canonical RREF bases of U and V (the ``u == v`` branch compares those
+    bases), ``LieAlgebra`` and ``Subspace`` hash and compare by exactly
+    that data, and both, like the returned ``Subspace``, are immutable.
     """
     if u.ambient_dim != algebra.dim or v.ambient_dim != algebra.dim:
         raise ValueError("vector length does not match algebra dimension")

@@ -47,7 +47,9 @@ from .linalg import (
     Matrix,
     Subspace,
     closure,
+    matrix_from_flat,
     nullspace_matrix,
+    primitive_part,
     rank,
     span_intersect,
     span_sum,
@@ -108,6 +110,9 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
     gives z = 0 on ut(n), hence the start at 2).  Any z solves a set S
     containing N, between M and rad and so an ideal, that is nilpotent only
     if S = N: the first candidate that passes the certificate is N.
+    z is replaced by its primitive integer multiple cz (c > 0), so its
+    powers are integer matrices: Q[cz] = Q[z], and the row of (cz)^j in the
+    trace system is c^j times that of z^j, so the kernel is the same.
     """
     rad = solvable_radical(algebra)
     n = algebra.dim
@@ -121,6 +126,7 @@ def nilradical(algebra: LieAlgebra) -> Subspace:
     for k in range(2, last_k + 1):
         z = reduce(Matrix.add, [g.scale(k ** i) for i, g in enumerate(gens)],
                    Matrix.zeros(n, n))
+        z = matrix_from_flat(primitive_part(z.flatten()), n, n)
         powers = matrix_powers(z)
         rows = [[a.trace_of_product(p) for a in rad_ads.values()] for p in powers]
         coords = nullspace_matrix(Matrix(rows))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lierad import liealg
+from lierad import liealg, modules
 from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.liealg import (
@@ -45,6 +45,7 @@ from lierad.linalg import Matrix, Subspace, qq, span_sum
 from lierad.frattini import frattini_ideal, jacobson_ideal
 from lierad.linalg import matrix_from_flat
 from lierad.radicals import levi_radical, levi_subalgebra, nilradical, solvable_radical
+from lierad.reports import analyze
 
 
 def span(n, *vectors):
@@ -406,6 +407,14 @@ def all_pairs_bracket_space(alg: LieAlgebra, u: Subspace, v: Subspace) -> Subspa
                                    for x in u.vectors() for y in v.vectors()])
 
 
+def equal_copy(space: Subspace) -> Subspace:
+    """The same subspace spanned by other vectors, as a different object."""
+    copy = Subspace.span(space.ambient_dim, [[3 * x for x in vec]
+                                             for vec in reversed(space.vectors())])
+    assert copy == space and copy is not space
+    return copy
+
+
 def test_bracket_spaces_equals_the_all_pairs_span():
     rng = random.Random(8)
     algebras = suite_corpus() + list(random_semidirect_products(6, 20260810))
@@ -437,9 +446,12 @@ def test_each_pair_is_bracketed_once(monkeypatch):
     nil = nilradical(alg)
     m = nil.dim
     monkeypatch.setattr(liealg, "bracket", counting_bracket)
+    # nilradical has already formed [N, N]: count from an empty memo
+    bracket_spaces.cache_clear()
     bracket_spaces(alg, nil, nil)
     assert len(calls) == m * (m - 1) // 2
     del calls[:]
+    bracket_spaces.cache_clear()
     bracket_spaces(alg, nil, alg.full_space())
     assert len(calls) == m * alg.dim
     del calls[:]
@@ -448,6 +460,45 @@ def test_each_pair_is_bracketed_once(monkeypatch):
     del calls[:]
     restrict_to_subalgebra(alg, alg.full_space())
     assert calls == []
+
+
+def test_the_bracket_spaces_memo_is_transparent():
+    # the products an analysis forms, among 0, L, [L, L], rad, nilrad, the
+    # center and [L, rad]; each memo hit, also for equal subspaces built
+    # from other generators, is the value computed afresh
+    algebras = suite_corpus() + [("ut(%d)" % n, corpus("ut", n)) for n in range(3, 7)]
+    algebras += list(random_semidirect_products(25, 20260810))
+    assert len(algebras) == 45
+    for name, alg in algebras:
+        full = alg.full_space()
+        rad = solvable_radical(alg)
+        spaces = {alg.zero_space(), full, bracket_spaces(alg, full, full), rad,
+                  nilradical(alg), center(alg), bracket_spaces(alg, full, rad)}
+        for u in spaces:
+            for v in spaces:
+                first = bracket_spaces(alg, u, v)
+                hits = bracket_spaces.cache_info().hits
+                again = bracket_spaces(alg, equal_copy(u), equal_copy(v))
+                assert again is first
+                assert bracket_spaces.cache_info().hits == hits + 1
+                assert again == bracket_spaces.__wrapped__(alg, u, v), name
+                assert again == all_pairs_bracket_space(alg, u, v), name
+
+
+def test_a_cold_analysis_of_ut5_brackets_at_most_2000_pairs(monkeypatch):
+    # every binding of bracket, in liealg and in modules, counted from the
+    # empty memo caches each test starts with (tests/conftest.py)
+    calls = []
+
+    def counting_bracket(algebra, u, v):
+        calls.append(None)
+        return bracket(algebra, u, v)
+
+    monkeypatch.setattr(liealg, "bracket", counting_bracket)
+    monkeypatch.setattr(modules, "bracket", counting_bracket)
+    report = analyze(corpus("ut", 5), name="ut(5)")
+    assert len(report["nilradical"]) == 11
+    assert 0 < len(calls) <= 2000
 
 
 def all_derivations_preserve(alg: LieAlgebra, ideal: Subspace) -> bool:

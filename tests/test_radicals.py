@@ -167,6 +167,35 @@ def test_nilradical_certificate_fires_on_a_scalars_only_envelope(monkeypatch):
         nilradical.cache_clear()
 
 
+def test_nilradical_powers_an_integer_matrix_in_a_dense_rational_basis(monkeypatch):
+    # every off-diagonal entry of both factors a nonzero Fraction: det 1,
+    # and z = sum k^i g_i carries the denominators of the new basis
+    rng = random.Random(1)
+    n = 10
+
+    def factor(keep):
+        return Matrix([[1 if i == j else
+                        Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(2, 5))
+                        if keep(i, j) else 0 for j in range(n)] for i in range(n)])
+
+    t = factor(lambda i, j: j < i).mul(factor(lambda i, j: j > i))
+    alg = change_basis(corpus("ut", 4), t)
+    assert any(type(x) is Fraction for row in alg.c for vec in row for x in vec)
+    seen = []
+    real_powers = radicals.matrix_powers
+
+    def spy(z):
+        seen.append(z)
+        return real_powers(z)
+
+    monkeypatch.setattr(radicals, "matrix_powers", spy)
+    nil = nilradical(alg)
+    assert seen and all(type(x) is int for z in seen for x in z.flatten())
+    # t maps the new coordinates back to those of ut(4)
+    assert Subspace.span(n, [t.apply(v) for v in nil.vectors()]) == \
+        nilradical(corpus("ut", 4))
+
+
 def test_restriction_to_a_non_subalgebra_is_a_contract_error():
     s = corpus("sl2")
     with pytest.raises(ContractError, match="restriction requires a subalgebra"):
