@@ -646,17 +646,27 @@ def abelian(n: int, prefix: str = "a") -> LieAlgebra:
 
 
 def change_basis(algebra: LieAlgebra, t: Matrix) -> LieAlgebra:
-    """Isomorphic copy in the basis f_i = sum_j t[j][i] e_j (t invertible)."""
+    """Isomorphic copy in the basis f_i = sum_j t[j][i] e_j (t invertible).
+
+    The tensor must be antisymmetric, and a tensor that is not is refused:
+    only the pairs i < j are bracketed into ``_antisymmetric``, which is
+    exact then, since [f_j, f_i] = -[f_i, f_j] and [f_i, f_i] = 0.
+    """
     n = algebra.dim
     if t.rows != n or t.cols != n:
         raise ContractError("basis-change matrix has wrong shape")
+    anti = next(((i, j) for i in range(n) for j in range(i, n)
+                 if any(a != -b for a, b in zip(algebra.c[i][j], algebra.c[j][i]))),
+                None)
+    if anti is not None:
+        raise ContractError("basis change requires an antisymmetric tensor: "
+                            "c[i][j] != -c[j][i] at %s" % (anti,))
     try:
         t_inv = inverse(t)
     except ValueError:
         raise ContractError("basis-change matrix is not invertible") from None
     cols = [t.column(i) for i in range(n)]
-    c = [[t_inv.apply(bracket(algebra, cols[i], cols[j])) for j in range(n)]
-         for i in range(n)]
+    c = _antisymmetric(n, lambda i, j: t_inv.apply(bracket(algebra, cols[i], cols[j])))
     return LieAlgebra(n, ["f%d" % (k + 1) for k in range(n)], c)
 
 

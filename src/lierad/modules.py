@@ -11,8 +11,12 @@ A returned submodule is always verified invariant before it is handed back.
 (Burnside's theorem: then the action is irreducible); otherwise it is a probe
 outcome, only as strong as the deterministic probe set, which suffices for
 split modules with rational eigenvalue separations.  The probes are kernels
-of irreducible factors of minimal polynomials; each kernel vector is spun
-once.
+of irreducible factors of minimal polynomials of ``probe_matrices``: the
+envelope basis, then sums and differences of pairs among its first 8,
+leaving out scalar matrices and the shifts g +- cI, which find nothing that
+g has not found.  Each kernel vector is spun once, and
+``decompose_module`` hands the envelope of its complete-reducibility test
+to the search, so each action's envelope is formed once.
 
 Ideal direct summands come from the same probes, taken over the centroid
 (the commutant of ad): the primary components of a centroid element are
@@ -223,29 +227,52 @@ def commutant(action: Action) -> Subspace:
     return Subspace.span(nn, nullspace_sparse(_commutant_equations(action), nn).data)
 
 
+def _is_scalar(m: Matrix) -> bool:
+    """Whether m = c I, read off its entries; the 0 x 0 matrix is scalar."""
+    c = m.data[0][0] if m.rows else Q0
+    return all(x == c if i == j else not x
+               for i, row in enumerate(m.data) for j, x in enumerate(row))
+
+
 def probe_matrices(mats: Sequence[Matrix]) -> list:
-    """The matrices, then a + b and a - b for each pair among the first 8."""
-    probes = list(mats)
-    limit = min(len(mats), 8)
-    for i in range(limit):
-        for j in range(i + 1, limit):
-            probes.append(mats[i].add(mats[j]))
-            probes.append(mats[i].sub(mats[j]))
+    """The non-scalar matrices, then a + b and a - b for each pair of
+    non-scalar matrices among the first 8, where that is not scalar.
+
+    Leaving out the scalar matrices and the pairs with a scalar element
+    changes no kernel that the probes find and no split.  Let s = c I.
+    minpoly(g + s)(x) = minpoly(g)(x - c), minpoly(g - s)(x) =
+    minpoly(g)(x + c) and minpoly(s - g)(x) = +-minpoly(g)(c - x), so the
+    irreducible factors of the shift are h(x -+ c), or +-h(c - x), for the
+    factors h of minpoly(g), with the same multiplicities.  Evaluated at
+    the shift, each is +-h(g) exactly, and so is each power, so
+    ``nullspace_matrix`` returns g's own kernel vectors and primary
+    components.  g itself comes before every pair, so
+    ``find_proper_submodule`` has already collected those vectors as seeds,
+    and ``_find_ideal_split`` reaches g first: the shift splits iff g does,
+    into the same parts.  A scalar probe has a minimal polynomial of degree
+    at most 1, which the search has always skipped: its kernel is all of
+    Q^n or 0, whose basis vectors are seeded anyway, and one factor is no
+    split.  Seed order cannot matter either: the search answers with the
+    least spin by ``sort_key``, and equal keys mean equal subspaces.
+    """
+    window = [m for m in mats[:8] if not _is_scalar(m)]
+    probes = window + [m for m in mats[8:] if not _is_scalar(m)]
+    for i, a in enumerate(window):
+        for b in window[i + 1:]:
+            probes += [p for p in (a.add(b), a.sub(b)) if not _is_scalar(p)]
     return probes
 
 
 def _probe_factors(mats: Sequence[Matrix]):
-    """Each non-scalar probe of ``probe_matrices(mats)``, with the distinct
-    irreducible factors of its minimal polynomial mapped to their
-    multiplicities."""
+    """Each probe of ``probe_matrices(mats)``, with the distinct irreducible
+    factors of its minimal polynomial mapped to their multiplicities."""
     for probe in probe_matrices(mats):
-        minpoly = minimal_polynomial(probe)
-        if len(minpoly) > 2:
-            _, factors = factor_rational_poly(minpoly)
-            yield probe, Counter(map(tuple, factors))
+        _, factors = factor_rational_poly(minimal_polynomial(probe))
+        yield probe, Counter(map(tuple, factors))
 
 
-def find_proper_submodule(action: Action) -> Optional[Subspace]:
+def find_proper_submodule(action: Action, *,
+                          envelope: Optional[Envelope] = None) -> Optional[Subspace]:
     """A proper nonzero invariant subspace, or None when none is found.
 
     None is certified when the envelope has dimension n^2: it is then all of
@@ -256,9 +283,13 @@ def find_proper_submodule(action: Action) -> Optional[Subspace]:
     each kernel vector is spun once, as is each carrier basis vector.  The
     answer is the least proper spin by ``sort_key``.
     Any returned subspace is verified invariant and proper.
+
+    ``envelope`` is plumbing for a caller that has already formed
+    ``associative_envelope(action)``; it is formed here when not given.
     """
     n = action.carrier_dim
-    envelope = associative_envelope(action)
+    if envelope is None:
+        envelope = associative_envelope(action)
     if len(envelope.basis) == n * n:
         return None
     seeds = {}
@@ -379,16 +410,18 @@ def decompose_module(action: Action) -> tuple:
 
     Raises NotCompletelyReducibleError when the action is not completely
     reducible, so a caller that needs the test and the summands runs the
-    test once.
+    test once.  The envelope of that test is the one the submodule search
+    of the whole action probes.
     """
-    if not is_completely_reducible(action):
+    envelope = associative_envelope(action)
+    if not trace_radical(envelope).is_zero():
         raise NotCompletelyReducibleError(
             "decompose_module requires a completely reducible action")
 
-    def rec(act: Action, embedding: Matrix) -> list:
+    def rec(act: Action, embedding: Matrix, envelope=None) -> list:
         if act.carrier_dim == 0:
             return []
-        sub = find_proper_submodule(act)
+        sub = find_proper_submodule(act, envelope=envelope)
         if sub is None:
             return [Subspace.span(embedding.cols, embedding.data)]
         comp = _equivariant_complement(act, sub)
@@ -400,7 +433,7 @@ def decompose_module(action: Action) -> tuple:
         return out
 
     n = action.carrier_dim
-    summands = rec(action, Matrix.identity(n))
+    summands = rec(action, Matrix.identity(n), envelope)
     return tuple(sorted(summands, key=lambda s: s.sort_key()))
 
 

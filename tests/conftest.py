@@ -33,7 +33,16 @@ def _memo_caches() -> set:
 MEMO_CACHES = _memo_caches()
 
 
+@pytest.fixture
+def clear_memo_caches():
+    """A function that empties every memo cache, for a test that needs
+    them cold more than once."""
+    def clear():
+        for cache in MEMO_CACHES:
+            cache.cache_clear()
+    return clear
+
+
 @pytest.fixture(autouse=True)
-def cold_caches():
-    for cache in MEMO_CACHES:
-        cache.cache_clear()
+def cold_caches(clear_memo_caches):
+    clear_memo_caches()

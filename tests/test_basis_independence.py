@@ -12,7 +12,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from lierad.corpus import corpus, corpus_expr
+import pytest
+
+from lierad.acceptance import random_semidirect_products
+from lierad.corpus import corpus, corpus_expr, suite_corpus
 from lierad.frattini import (
     classify_subsimple,
     frattini_ideal,
@@ -25,7 +28,7 @@ from lierad.frattini import (
     assemble_subdirect_embedding,
     verify_subdirect,
 )
-from lierad.liealg import change_basis, validate
+from lierad.liealg import ContractError, LieAlgebra, bracket, change_basis, validate
 from lierad.linalg import Matrix, Subspace, inverse, qq, rref
 from lierad.radicals import REGISTRY, levi_subalgebra, nilradical, solvable_radical
 
@@ -119,3 +122,43 @@ def test_change_basis_is_invertible():
     assert pivots == (0, 1, 2)
     back = change_basis(change_basis(h, t), inverse(t))
     assert back.c == h.c
+
+
+def change_basis_reference(algebra: LieAlgebra, t: Matrix) -> LieAlgebra:
+    """The basis change that brackets every ordered pair, diagonal included."""
+    n = algebra.dim
+    t_inv = inverse(t)
+    cols = [t.column(i) for i in range(n)]
+    c = [[t_inv.apply(bracket(algebra, cols[i], cols[j])) for j in range(n)]
+         for i in range(n)]
+    return LieAlgebra(n, ["f%d" % (k + 1) for k in range(n)], c)
+
+
+def test_change_basis_matches_the_full_pair_fill():
+    rng = random.Random(SEED + 25)
+    algebras = [alg for _, alg in suite_corpus()]
+    algebras += [alg for _, alg in random_semidirect_products(25, SEED)]
+    algebras += [corpus("ut", 4), corpus("ut", 5), corpus_expr("direct(sl2,heis3)")]
+    # [x, y] = z and [x, z] = x: antisymmetric, but Jacobi fails, which
+    # change_basis does not check
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1], c[1][0] = [0, 0, 1], [0, 0, -1]
+    c[0][2], c[2][0] = [1, 0, 0], [-1, 0, 0]
+    algebras.append(LieAlgebra(3, ["x", "y", "z"], c))
+    assert not validate(algebras[-1]).ok
+    for alg in algebras:
+        t = dense_rational(rng, alg.dim)
+        changed, expected = change_basis(alg, t), change_basis_reference(alg, t)
+        assert (changed.c, changed.labels) == (expected.c, expected.labels)
+
+
+def test_change_basis_refuses_a_tensor_that_is_not_antisymmetric():
+    # [x, y] = x with [y, x] = 0, and [x, x] = y with all else zero
+    lopsided = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+    diagonal = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+    for c, pair in ((lopsided, (0, 1)), (diagonal, (0, 0))):
+        alg = LieAlgebra(2, ["x", "y"], c)
+        assert validate(alg).antisymmetry_violations == (pair,)
+        with pytest.raises(ContractError, match=r"antisymmetric tensor: .* at \(%d, %d\)"
+                           % pair):
+            change_basis(alg, Matrix([[1, 1], [0, 1]]))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -12,7 +14,15 @@ import lierad.modules as modules_module
 from lierad.acceptance import random_semidirect_products
 from lierad.corpus import corpus, suite_corpus
 from lierad.frattini import is_frattini_free
-from lierad.liealg import ContractError, ad_of_basis, bracket_spaces
+from lierad.liealg import (
+    ContractError,
+    LieAlgebra,
+    ad_of_basis,
+    bracket_spaces,
+    embed_subspace,
+    is_ideal,
+    restrict_to_subalgebra,
+)
 from lierad.linalg import (
     Matrix,
     SpanBuilder,
@@ -26,8 +36,10 @@ from lierad.modules import (
     Action,
     _poly_of_matrix,
     associative_envelope,
+    centroid,
     commutant,
     decompose_module,
+    direct_summands,
     find_proper_submodule,
     is_completely_reducible,
     minimal_polynomial,
@@ -37,8 +49,9 @@ from lierad.modules import (
     split_over_abelian_ideal,
     trace_radical,
 )
-from lierad.polys import factor_rational_poly
+from lierad.polys import factor_rational_poly, poly_mul
 from lierad.radicals import nilradical
+from lierad.reports import analyze
 
 
 def span(n, *vectors):
@@ -243,10 +256,47 @@ def random_actions(seed: int, count: int) -> list:
     return out
 
 
+def probe_matrices_reference(mats) -> list:
+    """Every matrix, then a + b and a - b for each pair among the first 8:
+    the probe set before scalar matrices and their shifts were left out."""
+    probes = list(mats)
+    limit = min(len(mats), 8)
+    for i in range(limit):
+        for j in range(i + 1, limit):
+            probes += [mats[i].add(mats[j]), mats[i].sub(mats[j])]
+    return probes
+
+
+def searched_factors(probes):
+    """Each probe whose minimal polynomial has degree at least 2, with its
+    distinct irreducible factors and their multiplicities: the probes the
+    searches used before scalar probes were left out."""
+    for probe in probes:
+        minpoly = minimal_polynomial(probe)
+        if len(minpoly) > 2:
+            _, factors = factor_rational_poly(minpoly)
+            yield probe, Counter(map(tuple, factors))
+
+
+def probe_kernels(probes) -> set:
+    """The kernels of f(probe) and f^m(probe), over each probe of
+    ``searched_factors`` and each factor f of multiplicity m: the seeds of
+    the submodule search and the parts of the ideal split."""
+    kernels = set()
+    for probe, factors in searched_factors(probes):
+        for f, mult in factors.items():
+            for power in (f, reduce(poly_mul, [f] * mult)):
+                kernel = nullspace_matrix(_poly_of_matrix(power, probe))
+                kernels.add(Subspace.span(probe.rows, kernel.data))
+    return kernels
+
+
 def candidate_search_spinning_whole_kernels(action: Action):
     """The submodule search that also spins each whole kernel and spins a
-    kernel vector again for every probe and repeated factor it turns up in:
-    the reference the one-spin-per-vector search must agree with."""
+    kernel vector again for every probe and repeated factor it turns up in,
+    over every probe of ``probe_matrices_reference``, scalar ones and their
+    shifts included: the reference the one-spin-per-vector search over the
+    pruned probes must agree with."""
     n = action.carrier_dim
     envelope = associative_envelope(action)
     if len(envelope.basis) == n * n:
@@ -257,7 +307,7 @@ def candidate_search_spinning_whole_kernels(action: Action):
         if 0 < space.dim < n:
             candidates.append(space)
 
-    for probe in probe_matrices(envelope.basis):
+    for probe in probe_matrices_reference(envelope.basis):
         minpoly = minimal_polynomial(probe)
         _, factors = factor_rational_poly(minpoly)
         if len(factors) <= 1 and len(minpoly) - 1 <= 1:
@@ -291,7 +341,10 @@ def nilradical_actions_of_frattini_free_benchmark_algebras() -> list:
 WAITING_ON_FACTORIZATION = (13, 18, 25, 28, 34, 37, 39)
 
 
-def test_find_proper_submodule_agrees_with_spinning_whole_kernels():
+def submodule_search_actions() -> list:
+    """The seeded random actions that factor quickly, the irreducible
+    symmetric powers, small fixtures and the Frattini-free nilradical
+    actions."""
     rotation = [[0, -1], [1, 0]]
     actions = [a for i, a in enumerate(random_actions(20260810, 40))
                if i not in WAITING_ON_FACTORIZATION]
@@ -307,13 +360,54 @@ def test_find_proper_submodule_agrees_with_spinning_whole_kernels():
     ]
     frattini_free = nilradical_actions_of_frattini_free_benchmark_algebras()
     assert len(frattini_free) > 20
-    actions += frattini_free
+    return actions + frattini_free
+
+
+def test_find_proper_submodule_agrees_with_spinning_whole_kernels():
     outcomes = set()
-    for i, action in enumerate(actions):
+    for i, action in enumerate(submodule_search_actions()):
         expected = candidate_search_spinning_whole_kernels(action)
         assert find_proper_submodule(action) == expected, i
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def test_pruned_probes_find_the_kernels_of_the_full_probe_list():
+    # a full envelope certifies irreducibility before any probe is formed
+    left_out = 0
+    for i, action in enumerate(submodule_search_actions()):
+        basis = associative_envelope(action).basis
+        if len(basis) == action.carrier_dim ** 2:
+            continue
+        pruned = probe_matrices(basis)
+        assert all(len(minimal_polynomial(p)) > 2 for p in pruned), i
+        reference = probe_matrices_reference(basis)
+        left_out += len(reference) - len(pruned)
+        assert probe_kernels(pruned) == probe_kernels(reference), i
+    assert left_out > 0
+
+
+def test_a_cold_analysis_forms_few_minimal_polynomials_and_envelopes(
+        monkeypatch, clear_memo_caches):
+    # counted through the modules bindings, every memo cache cleared before
+    # each algebra; probing scalar matrices and their shifts, and forming
+    # each decomposed action's envelope twice, takes 156 and 69
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("minimal_polynomial", "associative_envelope"):
+        monkeypatch.setattr(modules_module, name,
+                            counting(name, getattr(modules_module, name)))
+    for name, algebra in suite_corpus() + random_semidirect_products(25, 20260810):
+        clear_memo_caches()
+        analyze(algebra, name=name)
+    assert 0 < counts["minimal_polynomial"] <= 60
+    assert 0 < counts["associative_envelope"] <= 50
 
 
 def test_commutant_is_the_algebra_of_equivariant_maps():
@@ -344,12 +438,78 @@ def test_commutant_of_a_repeated_block_is_a_matrix_algebra():
 
 
 def test_probe_matrices_pairs_the_first_eight():
+    # diag(0, 1) + diag(1, 0) = I is the one scalar probe, and is left out
     mats = [diag(k, 1 - k) for k in range(10)]
     probes = probe_matrices(mats)
-    assert len(probes) == 10 + 2 * 28
-    assert probes[:12] == mats + [mats[0].add(mats[1]), mats[0].sub(mats[1])]
+    assert len(probes) == 10 + 2 * 28 - 1
+    assert probes[:12] == mats + [mats[0].sub(mats[1]), mats[0].add(mats[2])]
     assert probes[-2:] == [mats[6].add(mats[7]), mats[6].sub(mats[7])]
-    assert probe_matrices(mats[:2]) == mats[:2] + probes[10:12]
+    assert probe_matrices(mats[:2]) == mats[:2] + probes[10:11]
+
+
+def test_probe_matrices_leave_out_scalars_and_their_shifts():
+    jordan = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+    rotation = Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    scalar, e1, e23 = diag(3, 3, 3), diag(1, 0, 0), diag(0, 1, 1)
+    # the scalar comes second, and e1 + e23 = I
+    mats = [jordan, scalar, e23, e1, rotation]
+    pruned = probe_matrices(mats)
+    kept = [jordan, e23, e1, rotation]
+    assert pruned == kept + [
+        jordan.add(e23), jordan.sub(e23), jordan.add(e1), jordan.sub(e1),
+        jordan.add(rotation), jordan.sub(rotation), e23.sub(e1),
+        e23.add(rotation), e23.sub(rotation), e1.add(rotation), e1.sub(rotation)]
+    reference = probe_matrices_reference(mats)
+    assert len(reference) == 5 + 2 * 10
+    assert all(len(minimal_polynomial(p)) > 2 for p in pruned)
+    assert probe_kernels(pruned) == probe_kernels(reference)
+    # scalars alone, the zero matrix included, leave nothing to probe
+    assert probe_matrices([Matrix.zeros(2, 2), diag(7, 7)]) == []
+    assert probe_matrices([Matrix([], cols=0)] * 3) == []
+
+
+def ideal_split_reference(algebra: LieAlgebra):
+    """``_find_ideal_split`` over ``probe_matrices_reference``: the primary
+    components of the first centroid probe that splits L into ideals."""
+    n = algebra.dim
+    cent = [matrix_from_flat(v, n, n) for v in centroid(algebra).vectors()]
+    for probe, factors in searched_factors(probe_matrices_reference(cent)):
+        if len(factors) < 2:
+            continue
+        parts = []
+        for f, mult in factors.items():
+            power = reduce(poly_mul, [f] * mult)
+            kernel = nullspace_matrix(_poly_of_matrix(power, probe))
+            parts.append(Subspace.span(n, kernel.data))
+        if sum(p.dim for p in parts) == n and all(is_ideal(algebra, p) for p in parts):
+            return parts
+    return None
+
+
+def direct_summands_reference(algebra: LieAlgebra) -> tuple:
+    """``direct_summands`` with each split probing the reference list."""
+    if algebra.dim == 0:
+        return ()
+    split = ideal_split_reference(algebra)
+    if split is None:
+        return (algebra.full_space(),)
+    parts = []
+    for part in split:
+        part_alg, part_basis = restrict_to_subalgebra(algebra, part)
+        parts += [embed_subspace(part_basis, p) for p in direct_summands_reference(part_alg)]
+    return tuple(sorted(parts, key=lambda s: s.sort_key()))
+
+
+def test_direct_summands_agree_with_a_split_over_the_reference_probes():
+    algebras = [alg for _, alg in suite_corpus()]
+    algebras += [corpus("ut", n) for n in range(3, 7)]
+    algebras += [alg for _, alg in random_semidirect_products(25, 20260810)]
+    split = 0
+    for alg in algebras:
+        expected = direct_summands_reference(alg)
+        assert direct_summands(alg) == expected, alg
+        split += len(expected) > 1
+    assert split > 5
 
 
 def test_both_splitters_draw_from_probe_matrices(monkeypatch):
