@@ -53,9 +53,11 @@ from .linalg import (
 # stay importable from here
 from .modules import (
     NotCompletelyReducibleError,
+    _summands,
     centroid,
     decompose_module,
     direct_summands,
+    part_centroids,
     restricted_ad_action,
     split_over_abelian_ideal,
 )
@@ -241,17 +243,30 @@ def frattini_ideal(algebra: LieAlgebra) -> IdealEstimate:
 
     An abelian L is nilpotent with [L, L] = 0 and a semisimple L is
     Frattini-free, so the first two rules give both 0."""
+    return _frattini_estimate(algebra, None)
+
+
+def _frattini_estimate(algebra: LieAlgebra,
+                       cent: Optional[Subspace]) -> IdealEstimate:
+    """``frattini_ideal`` of L, given cent = Γ(L), or None to look it up.
+
+    φ(A + B) = φ(A) + φ(B) for an ideal direct sum (Towers, Proc. London
+    Math. Soc. (3) 27, 1973), so each summand is estimated on its own, with
+    its centroid read off L's (``part_centroids``) rather than solved."""
     full = algebra.full_space()
     if is_nilpotent(algebra):
         return IdealEstimate.exactly(bracket_spaces(algebra, full, full))
     if is_frattini_free(algebra):
         return IdealEstimate.exactly(algebra.zero_space())
-    summands = direct_summands(algebra)
+    if cent is None:
+        cent, summands = centroid(algebra), direct_summands(algebra)
+    else:
+        summands = _summands(algebra, cent)
     if len(summands) >= 2:
         lower, upper = [], []
-        for part in summands:
+        for part, part_cent in zip(summands, part_centroids(algebra, cent, summands)):
             part_alg, part_basis = restrict_to_subalgebra(algebra, part)
-            est = frattini_ideal(part_alg)
+            est = _frattini_estimate(part_alg, part_cent)
             lower.append(embed_subspace(part_basis, est.lower))
             upper.append(embed_subspace(part_basis, est.upper))
         return IdealEstimate(span_sum(*lower), span_sum(*upper))

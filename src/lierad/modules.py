@@ -20,7 +20,11 @@ to the search, so each action's envelope is formed once.
 
 Ideal direct summands come from the same probes, taken over the centroid
 (the commutant of ad): the primary components of a centroid element are
-ideals, kept when they are and when their dimensions add up.
+ideals, kept when they are and when their dimensions add up.  The split
+search forms the probes one at a time and stops at the first that splits.
+One centroid is solved per algebra: each part of a split reads its own off
+its parent's (``part_centroids``), so a direct-sum tree of any depth costs
+one commutant solve.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .linalg import (
     Q1,
     Subspace,
     closure,
+    inverse,
     matrix_from_flat,
     nullspace_matrix,
     nullspace_sparse,
@@ -200,24 +205,25 @@ def _commutant_equations(action: Action) -> list:
     """Sparse rows {k: coefficient} of T op - op T = 0 over the n*n entries of T.
 
     T[i][j] is unknown i*n + j; each operator gives one equation per entry
-    (i, j), and those with no terms are left out.  The equations come column
-    j by column j; ``nullspace_sparse`` eliminates the sparsest rows first,
-    so this order only breaks ties between rows of equal length.
+    (i, j) where it has support in column j or in row i; the other entries
+    give no terms.  The equations come column j by column j;
+    ``nullspace_sparse`` eliminates the sparsest rows first, so this order
+    only breaks ties between rows of equal length.
     """
     n = action.carrier_dim
     ops = [([[(t, r[j]) for t, r in enumerate(op.data) if r[j]] for j in range(n)],
-            op.support) for op in action.operators]
+            op.support, [i for i, r in enumerate(op.support) if r])
+           for op in action.operators]
     rows = []
     for j in range(n):
-        for col_support, row_support in ops:
-            for i in range(n):
+        for col_support, row_support, busy_rows in ops:
+            for i in (range(n) if col_support[j] else busy_rows):
                 # (T op)[i][j] = sum_t T[i][t] op[t][j]
                 row = {i * n + t: x for t, x in col_support[j]}
                 # (op T)[i][j] = sum_t op[i][t] T[t][j]
                 for t, x in row_support[i]:
                     row[t * n + j] = row.get(t * n + j, Q0) - x
-                if row:
-                    rows.append(row)
+                rows.append(row)
     return rows
 
 
@@ -255,18 +261,28 @@ def probe_matrices(mats: Sequence[Matrix]) -> list:
     split.  Seed order cannot matter either: the search answers with the
     least spin by ``sort_key``, and equal keys mean equal subspaces.
     """
+    return list(_probes(mats))
+
+
+def _probes(mats: Sequence[Matrix]):
+    """The probes of ``probe_matrices(mats)``, in its order, each sum or
+    difference formed only when the one before it has been consumed."""
     window = [m for m in mats[:8] if not _is_scalar(m)]
-    probes = window + [m for m in mats[8:] if not _is_scalar(m)]
+    yield from window
+    yield from (m for m in mats[8:] if not _is_scalar(m))
     for i, a in enumerate(window):
         for b in window[i + 1:]:
-            probes += [p for p in (a.add(b), a.sub(b)) if not _is_scalar(p)]
-    return probes
+            for form in (a.add, a.sub):
+                probe = form(b)
+                if not _is_scalar(probe):
+                    yield probe
 
 
 def _probe_factors(mats: Sequence[Matrix]):
     """Each probe of ``probe_matrices(mats)``, with the distinct irreducible
-    factors of its minimal polynomial mapped to their multiplicities."""
-    for probe in probe_matrices(mats):
+    factors of its minimal polynomial mapped to their multiplicities, formed
+    lazily: a search that stops early forms no later probe."""
+    for probe in _probes(mats):
         _, factors = factor_rational_poly(minimal_polynomial(probe))
         yield probe, Counter(map(tuple, factors))
 
@@ -320,12 +336,43 @@ def centroid(algebra: LieAlgebra) -> Subspace:
     return commutant(Action(algebra.dim, ad_of_basis(algebra)))
 
 
-def _find_ideal_split(algebra: LieAlgebra) -> Optional[list]:
-    """Primary components of the first centroid probe that splits L into
-    ideals: the kernels of f^m(probe) over its factors f of multiplicity m."""
+def part_centroids(algebra: LieAlgebra, cent: Subspace, parts: Sequence) -> list:
+    """Γ(P) for each part P of an ideal direct sum L = P_1 + ... + P_k, read
+    off cent = Γ(L) in P's canonical coordinates, as ``centroid`` of
+    ``restrict_to_subalgebra(L, P)`` returns it.
+
+    Γ(P) = {π_P T|_P : T ∈ Γ(L)}, π_P the projection along the other parts.
+    Proof.  Let R be the sum of the other parts, so [P, R] = 0.  (⊇) For
+    x, y ∈ P, π_P T[x,y] = π_P [x, Ty] = [x, π_P Ty], because [x, Ty] =
+    [x, π_P Ty] + [x, π_R Ty] and [P, R] = 0; so π_P T|_P is in Γ(P).
+    (⊆) For S ∈ Γ(P), S ⊕ 0 lies in Γ(L) and compresses to S.  The parts'
+    bases together are a basis of L, so in that basis T is a block matrix
+    and π_P T|_P is its P block.  The parts must be independent and span L:
+    ``inverse`` raises ValueError otherwise.  Leaves of a nested split are
+    ideals of L whose sum is direct, so this serves them at any depth.
+    """
     n = algebra.dim
-    cent = [matrix_from_flat(v, n, n) for v in centroid(algebra).vectors()]
-    for probe, factors in _probe_factors(cent):
+    # columns: the parts' canonical basis vectors, part after part
+    change = Matrix([v for part in parts for v in part.vectors()], cols=n).transpose()
+    back = inverse(change)
+    blocks = [back.mul(matrix_from_flat(t, n, n)).mul(change)
+              for t in cent.vectors()]
+    out, at = [], 0
+    for part in parts:
+        end = at + part.dim
+        out.append(Subspace.span(part.dim ** 2, [
+            [x for row in b.data[at:end] for x in row[at:end]] for b in blocks]))
+        at = end
+    return out
+
+
+def _find_ideal_split(algebra: LieAlgebra, cent: Subspace) -> Optional[list]:
+    """Primary components of the first centroid probe that splits L into
+    ideals: the kernels of f^m(probe) over its factors f of multiplicity m.
+    cent is Γ(L); the probes are formed one at a time."""
+    n = algebra.dim
+    mats = [matrix_from_flat(v, n, n) for v in cent.vectors()]
+    for probe, factors in _probe_factors(mats):
         if len(factors) < 2:
             continue
         parts = []
@@ -342,26 +389,36 @@ def _find_ideal_split(algebra: LieAlgebra) -> Optional[list]:
 def direct_summands(algebra: LieAlgebra) -> tuple:
     """Ideal direct summands found by splitting centroid minimal polynomials.
 
-    Returns (L,) when no split is found; every returned decomposition is
-    verified (ideals, pairwise independent, spanning).  Each part of a split
-    is split by its own cached call and embedded one level up.
+    Returns (L,) when no split is found.  ``centroid(L)`` is the one
+    centroid solved: ``_summands`` hands each part its own.
+    """
+    return _summands(algebra, centroid(algebra))
+
+
+def _summands(algebra: LieAlgebra, cent: Subspace) -> tuple:
+    """``direct_summands`` of L, given cent = Γ(L).
+
+    Each split is certified ideal (``_find_ideal_split``), independent and
+    spanning before its parts are compressed to their centroids
+    (``part_centroids``) and split in turn.  An ideal of an ideal direct
+    summand is an ideal of L, so the leaves are a verified decomposition.
     """
     if algebra.dim == 0:
         return ()
-    split = _find_ideal_split(algebra)
+    split = _find_ideal_split(algebra, cent)
     if split is None:
         return (algebra.full_space(),)
-    parts = []
-    for part in split:
-        part_alg, part_basis = restrict_to_subalgebra(algebra, part)
-        parts += [embed_subspace(part_basis, p) for p in direct_summands(part_alg)]
-    parts.sort(key=lambda s: s.sort_key())
-    total = span_sum(*parts)
-    if sum(p.dim for p in parts) != total.dim:
+    total = span_sum(*split)
+    if sum(p.dim for p in split) != total.dim:
         raise AssertionError("direct summands are not independent")
     if not total.is_full():
         raise AssertionError("direct summands do not span")
-    return tuple(parts)
+    parts = []
+    for part, part_cent in zip(split, part_centroids(algebra, cent, split)):
+        part_alg, part_basis = restrict_to_subalgebra(algebra, part)
+        parts += [embed_subspace(part_basis, p)
+                  for p in _summands(part_alg, part_cent)]
+    return tuple(sorted(parts, key=lambda s: s.sort_key()))
 
 
 def _equivariant_complement(action: Action, sub: Subspace) -> Subspace:

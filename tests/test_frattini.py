@@ -68,7 +68,9 @@ from lierad.linalg import (
     span_sum,
 )
 from lierad.modules import (
+    commutant,
     find_proper_submodule,
+    part_centroids,
     restricted_ad_action,
     split_over_abelian_ideal,
 )
@@ -79,6 +81,7 @@ from lierad.radicals import (
     nilradical,
     solvable_radical,
 )
+from lierad.reports import analyze
 
 
 def span(n, *vectors):
@@ -405,8 +408,10 @@ def test_direct_summands_certificate_fires(monkeypatch):
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     for parts, message in (([span(3, e1, e2), span(3, e2, e3)], "not independent"),
                            ([span(3, e1), span(3, e2)], "do not span")):
-        def split(a, parts=parts):
-            # split the algebra itself; leave its parts whole
+        def split(a, cent, parts=parts):
+            # split the algebra itself; leave its parts whole.  Compressing
+            # the centroid onto parts that are not direct would fail in
+            # ``inverse``, so the certificate must come first
             return parts if a == alg else None
         monkeypatch.setattr(modules_module, "_find_ideal_split", split)
         direct_summands.cache_clear()
@@ -415,24 +420,25 @@ def test_direct_summands_certificate_fires(monkeypatch):
     direct_summands.cache_clear()
 
 
-def test_the_parts_of_a_split_are_split_through_the_cache(monkeypatch):
-    # each part is split by its own cached call, so splitting it again
-    # (as frattini_ideal does per summand) finds no new work
-    for expr in ("sl2sl2", "direct(sl2,heis3)", "direct(ut(2),d1_v2)"):
+def test_a_split_tree_solves_one_centroid(monkeypatch, clear_memo_caches):
+    # every part's centroid is read off its parent's, so a cold
+    # direct_summands + frattini_ideal solves one commutant, that of L,
+    # however deep the tree; before, each part solved its own
+    solved = []
+
+    def counted(action):
+        solved.append(action.carrier_dim)
+        return commutant(action)
+
+    monkeypatch.setattr(modules_module, "commutant", counted)
+    for expr in ("ut(4)", "ut(5)", "ut(6)", "sl2sl2", "direct(sl2,heis3)",
+                 "direct(ut(2),d1_v2)", "direct(ut(2),direct(sl2,heis3))"):
         alg = corpus_expr(expr)
-        direct_summands.cache_clear()
-        parts = direct_summands(alg)
-        assert len(parts) >= 2, expr
-
-        def no_split(a):
-            raise AssertionError("split searched again")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(modules_module, "_find_ideal_split", no_split)
-            for part in parts:
-                part_alg, _ = restrict_to_subalgebra(alg, part)
-                assert direct_summands(part_alg) == (part_alg.full_space(),), expr
-    direct_summands.cache_clear()
+        clear_memo_caches()
+        solved.clear()
+        assert len(direct_summands(alg)) >= 2, expr
+        frattini_ideal(alg)
+        assert solved == [alg.dim], expr
 
 
 def test_frattini_free_c_and_s_equal_the_restricted_complement():
@@ -720,6 +726,42 @@ def test_centroid_is_the_commutant_of_the_ad_action():
     assert len(algebras) == 44
     for name, alg in algebras:
         assert centroid(alg) == centroid_from_both_conditions(alg), name
+
+
+def test_part_centroids_are_the_centroids_of_the_parts(monkeypatch, clear_memo_caches):
+    # every split that analyze meets on the 85 algebras (suite corpus,
+    # ut(3..6) and two seeded product sets), and on the scrambled direct
+    # sums with centroids of dimension 10, 13 and 17, at every depth
+    splits = []
+    find = modules_module._find_ideal_split
+
+    def recording(alg, cent):
+        parts = find(alg, cent)
+        if parts is not None:
+            splits.append((alg, cent, parts))
+        return parts
+
+    monkeypatch.setattr(modules_module, "_find_ideal_split", recording)
+    algebras = suite_corpus() + [("ut(%d)" % n, corpus("ut", n)) for n in range(3, 7)]
+    algebras += random_semidirect_products(25, 20260810)
+    algebras += random_semidirect_products(40, 7)
+    assert len(algebras) == 85
+    for name, alg in algebras:
+        clear_memo_caches()
+        analyze(alg, name=name)
+    from_corpus = len(splits)
+    for expr in ("direct(sl2,abelian(3))", "direct(heis3,abelian(2))",
+                 "direct(sl2,abelian(4))"):
+        for seed in (1, 2):
+            direct_summands(scrambled(corpus_expr(expr), seed))
+    assert from_corpus > 5 and len(splits) > from_corpus
+    monkeypatch.undo()
+    for alg, cent, parts in splits:
+        assert cent == centroid(alg)
+        for part, part_cent in zip(parts, part_centroids(alg, cent, parts)):
+            part_alg, _ = restrict_to_subalgebra(alg, part)
+            assert part_cent == centroid(part_alg)
+            assert part_cent == centroid_from_both_conditions(part_alg)
 
 
 def test_estimate_types_enforce_order():

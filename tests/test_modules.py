@@ -513,19 +513,42 @@ def test_direct_summands_agree_with_a_split_over_the_reference_probes():
 
 
 def test_both_splitters_draw_from_probe_matrices(monkeypatch):
+    # both draw, one probe at a time, from the generator that
+    # probe_matrices lists
     seen = []
+    probes = modules_module._probes
 
     def spy(mats):
         seen.append(len(mats))
-        return probe_matrices(mats)
+        return probes(mats)
 
-    monkeypatch.setattr(modules_module, "probe_matrices", spy)
+    monkeypatch.setattr(modules_module, "_probes", spy)
     assert find_proper_submodule(Action(2, (diag(1, 2),))) == span(2, (1, 0))
     assert seen == [2]
     frattini_module.direct_summands.cache_clear()
     assert len(frattini_module.direct_summands(corpus("abelian", 2))) == 2
     # the centroid of abelian(2) is M_2(Q)
     assert seen[1] == 4
+
+
+def test_a_cold_split_of_ut6_forms_few_matrix_sums(monkeypatch):
+    # the split search forms a probe only when the ones before it did not
+    # split.  ut(6) splits at the first basis element of its 7-dim centroid,
+    # so the 30 sums and differences of pairs are never formed; the 3 sums
+    # left are the Horner steps that evaluate its two factors.  Forming
+    # every probe first took 45
+    formed = Counter()
+
+    def counting(name, fn):
+        def counted(self, other):
+            formed[name] += 1
+            return fn(self, other)
+        return counted
+
+    for name in ("add", "sub"):
+        monkeypatch.setattr(Matrix, name, counting(name, getattr(Matrix, name)))
+    assert [p.dim for p in direct_summands(corpus("ut", 6))] == [1, 20]
+    assert sum(formed.values()) <= 3
 
 
 def test_find_proper_submodule_zero_action():
