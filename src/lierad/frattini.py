@@ -49,15 +49,13 @@ from .linalg import (
     span_intersect,
     span_sum,
 )
-# centroid, direct_summands and jacobson_ideal live in the lower layers and
-# stay importable from here
+# centroid is unused here; it stays importable from here, as direct_summands
+# and jacobson_ideal do, because perfbench/layertrace.py binds it by name
 from .modules import (
     NotCompletelyReducibleError,
-    _summands,
     centroid,
     decompose_module,
     direct_summands,
-    part_centroids,
     restricted_ad_action,
     split_over_abelian_ideal,
 )
@@ -241,39 +239,35 @@ def frattini_free_decomposition(algebra: LieAlgebra) -> FrattiniFreeDecompositio
 def frattini_ideal(algebra: LieAlgebra) -> IdealEstimate:
     """Frattini ideal, exact when a structural rule fires, else an interval.
 
-    An abelian L is nilpotent with [L, L] = 0 and a semisimple L is
-    Frattini-free, so the first two rules give both 0."""
-    return _frattini_estimate(algebra, None)
-
-
-def _frattini_estimate(algebra: LieAlgebra,
-                       cent: Optional[Subspace]) -> IdealEstimate:
-    """``frattini_ideal`` of L, given cent = Γ(L), or None to look it up.
-
+    The rule (``_structural_estimate``) is applied to L and, when it leaves
+    an interval, to each leaf of ``direct_summands(L)``, whose bounds add up:
     φ(A + B) = φ(A) + φ(B) for an ideal direct sum (Towers, Proc. London
-    Math. Soc. (3) 27, 1973), so each summand is estimated on its own, with
-    its centroid read off L's (``part_centroids``) rather than solved."""
+    Math. Soc. (3) 27, 1973)."""
+    estimate = _structural_estimate(algebra)
+    leaves = () if estimate.exact else direct_summands(algebra)
+    if len(leaves) < 2:
+        return estimate
+    lower, upper = [], []
+    for leaf in leaves:
+        leaf_alg, leaf_basis = restrict_to_subalgebra(algebra, leaf)
+        part = _structural_estimate(leaf_alg)
+        lower.append(embed_subspace(leaf_basis, part.lower))
+        upper.append(embed_subspace(leaf_basis, part.upper))
+    return IdealEstimate(span_sum(*lower), span_sum(*upper))
+
+
+def _structural_estimate(algebra: LieAlgebra) -> IdealEstimate:
+    """φ(L) = [L, L] if L is nilpotent, 0 if it is Frattini-free, else the
+    interval [L,L] ∩ Z(L) <= φ(L) <= [L, rad(L)].  An abelian L is nilpotent
+    with [L, L] = 0 and a semisimple L is Frattini-free, so both give 0."""
     full = algebra.full_space()
     if is_nilpotent(algebra):
         return IdealEstimate.exactly(bracket_spaces(algebra, full, full))
     if is_frattini_free(algebra):
         return IdealEstimate.exactly(algebra.zero_space())
-    if cent is None:
-        cent, summands = centroid(algebra), direct_summands(algebra)
-    else:
-        summands = _summands(algebra, cent)
-    if len(summands) >= 2:
-        lower, upper = [], []
-        for part, part_cent in zip(summands, part_centroids(algebra, cent, summands)):
-            part_alg, part_basis = restrict_to_subalgebra(algebra, part)
-            est = _frattini_estimate(part_alg, part_cent)
-            lower.append(embed_subspace(part_basis, est.lower))
-            upper.append(embed_subspace(part_basis, est.upper))
-        return IdealEstimate(span_sum(*lower), span_sum(*upper))
     derived = bracket_spaces(algebra, full, full)
-    lower = span_intersect(derived, center(algebra))
-    upper = jacobson_ideal(algebra)
-    return IdealEstimate(lower, upper)
+    return IdealEstimate(span_intersect(derived, center(algebra)),
+                         jacobson_ideal(algebra))
 
 
 def frattini_index(algebra: LieAlgebra) -> IndexEstimate:

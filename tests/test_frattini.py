@@ -441,6 +441,69 @@ def test_a_split_tree_solves_one_centroid(monkeypatch, clear_memo_caches):
         assert solved == [alg.dim], expr
 
 
+def test_frattini_ideal_does_not_split_the_leaves_again(monkeypatch, clear_memo_caches):
+    # the split search has already failed on every leaf of direct_summands,
+    # so frattini_ideal reads the cached leaves and searches no further
+    searched = []
+    find = modules_module._find_ideal_split
+
+    def recording(alg, cent):
+        searched.append(alg.dim)
+        return find(alg, cent)
+
+    monkeypatch.setattr(modules_module, "_find_ideal_split", recording)
+    for expr in ("ut(3)", "ut(4)", "ut(5)", "ut(6)", "direct(ut(3),heis3)",
+                 "direct(ut(3),direct(heis3,sl2))"):
+        alg = corpus_expr(expr)
+        clear_memo_caches()
+        assert len(direct_summands(alg)) >= 2, expr
+        searched.clear()
+        assert not frattini_ideal(alg).exact, expr
+        assert searched == [], expr
+
+
+def frattini_by_resplitting(alg) -> IdealEstimate:
+    """The Frattini estimate by recursion over ideal direct sums, splitting
+    every summand afresh: [L, L] if L is nilpotent, 0 if Frattini-free,
+    else the sum over ``direct_summands(L)`` of each summand's estimate,
+    else [L,L] ∩ Z(L) <= φ <= [L, rad L]."""
+    full = alg.full_space()
+    if is_nilpotent(alg):
+        return IdealEstimate.exactly(bracket_spaces(alg, full, full))
+    if is_frattini_free(alg):
+        return IdealEstimate.exactly(alg.zero_space())
+    summands = direct_summands(alg)
+    if len(summands) < 2:
+        return IdealEstimate(span_intersect(bracket_spaces(alg, full, full), center(alg)),
+                             jacobson_ideal(alg))
+    lower, upper = [], []
+    for part in summands:
+        part_alg, basis = restrict_to_subalgebra(alg, part)
+        est = frattini_by_resplitting(part_alg)
+        lower.append(embed_subspace(basis, est.lower))
+        upper.append(embed_subspace(basis, est.upper))
+    return IdealEstimate(span_sum(*lower), span_sum(*upper))
+
+
+def test_frattini_ideal_equals_the_recursion_that_resplits_each_summand(
+        clear_memo_caches):
+    algebras = suite_corpus() + [("ut(%d)" % n, corpus("ut", n)) for n in range(3, 7)]
+    algebras += random_semidirect_products(25, 20260810)
+    algebras += random_semidirect_products(40, 7)
+    assert len(algebras) == 85
+    algebras += [("%s#%d" % (expr, seed), scrambled(corpus_expr(expr), seed))
+                 for expr in ("direct(ut(3),heis3)",) for seed in (1, 2)]
+    # [L,L] ∩ Z(L) and [L, rad L] add up over a direct sum, so L's interval
+    # is the sum of its leaves' unless a leaf is exact and its interval is
+    # not: d1_v2 is Frattini-free with [L, rad L] != 0, and sut(4) is
+    # nilpotent with [L, L] not central
+    algebras += [(expr, corpus_expr(expr))
+                 for expr in ("direct(ut(3),d1_v2)", "direct(ut(3),sut(4))")]
+    for name, alg in algebras:
+        clear_memo_caches()
+        assert frattini_ideal(alg) == frattini_by_resplitting(alg), name
+
+
 def test_frattini_free_c_and_s_equal_the_restricted_complement():
     # C and S are read in L; in the complement M's own coordinates they are
     # its center and [M, M]
