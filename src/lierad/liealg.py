@@ -694,11 +694,11 @@ def operator_semidirect(operators: Sequence[Matrix],
     m = len(mats)
     # coordinates in the basis `mats` itself (columns = flattened operators)
     flats = [op.flatten() for op in mats]
-    coord_system = Matrix([[f[t] for f in flats] for t in range(k * k)])
+    rows = [{i: f[t] for i, f in enumerate(flats) if f[t]} for t in range(k * k)]
 
     def coords(i: int, j: int) -> tuple:
         comm = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
-        found = solve(coord_system, comm.flatten())
+        found = solve(rows, comm.flatten(), m)
         if found is None:
             raise ContractError("commutator escaped the operator span")
         return found

@@ -22,6 +22,12 @@ primitive with positive pivots.  A pivot that divides the entry it clears
 appear only once, when a finished row is divided by its pivot to give the
 canonical form; since the RREF is unique, the results are those of
 elimination over Q.
+
+Each eliminator has its jobs.  Linear systems, for their solutions
+(``solve``) and their kernels (``nullspace_sparse``), are sparse rows
+{column: coefficient}, since the systems callers build are mostly zero.
+``rref`` works on dense matrices: spans, ``rank``, ``inverse`` and
+``nullspace_matrix``.
 """
 
 from __future__ import annotations
@@ -401,19 +407,26 @@ def nullspace(m: Matrix) -> "Subspace":
     return Subspace.span(m.cols, nullspace_matrix(m).data)
 
 
-def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
-    """One solution of A x = b (free variables set to 0), or None."""
-    if a.rows != len(b):
-        raise ValueError("shape mismatch in solve")
-    aug = Matrix([list(row) + [qq(bb)] for row, bb in zip(a.data, b)]) \
-        if a.rows else Matrix.zeros(0, a.cols + 1)
-    red, pivots = rref(aug)
-    if a.cols in pivots:
+def solve(rows: Iterable[dict], rhs: Iterable, ncols: int) -> Optional[tuple]:
+    """One solution of A x = b (free variables set to 0), or None.
+
+    A is given as sparse rows {column: coefficient} over ``ncols`` unknowns,
+    one row per entry of b.  The answer is the first ncols entries of the
+    ``nullspace_sparse`` vector of [A | -b] for its last column.  It is the
+    point read off the RREF R of [A | b].  Proof.  The row operations that
+    give R give R with its last column negated from [A | -b].  That column
+    is a pivot exactly when A x = b is inconsistent (a row of R reads
+    0 = 1); its row is then 0 elsewhere, so every kernel vector is 0 there.
+    Otherwise the negated R is the RREF of [A | -b], which is unique, and
+    the column is free.  Its kernel vector is 1 there, 0 at the other free
+    columns and, at each pivot p, minus the negated last entry of row p:
+    the x_p that R gives with the free variables at 0.
+    """
+    aug = [{**row, ncols: -b} for row, b in zip(rows, rhs, strict=True)]
+    kernel = nullspace_sparse(aug, ncols + 1)
+    if not kernel.rows or not kernel.data[-1][ncols]:
         return None
-    x = [Q0] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = red.entry(r, a.cols)
-    return tuple(x)
+    return kernel.data[-1][:ncols]
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -173,8 +173,9 @@ def minimal_polynomial(m: Matrix) -> list:
     powers = matrix_powers(m)
     nxt = powers[-1].mul(m) if powers else Matrix.identity(m.rows)
     flats = [p.flatten() for p in powers]
-    system = Matrix([[f[t] for f in flats] for t in range(m.rows * m.rows)])
-    coeffs = [-c for c in solve(system, nxt.flatten())] + [Q1]
+    rows = [{k: f[t] for k, f in enumerate(flats) if f[t]}
+            for t in range(m.rows * m.rows)]
+    coeffs = [-c for c in solve(rows, nxt.flatten(), len(flats))] + [Q1]
     return poly_trim(coeffs) or [Q1]
 
 
@@ -422,33 +423,26 @@ def _summands(algebra: LieAlgebra, cent: Subspace) -> tuple:
 
 
 def _equivariant_complement(action: Action, sub: Subspace) -> Subspace:
-    """Invariant complement of an invariant subspace of a semisimple action.
+    """Invariant complement of an invariant subspace W of a semisimple action.
 
-    Solves for an envelope-equivariant projection onto the subspace; its
-    kernel is the complement.
+    Solves for a projection P onto W that commutes with the action; its
+    kernel is the complement.  The unknowns are P's entries, row-major, and
+    the system is sparse rows: ``_commutant_equations``, (P w)_i = w_i for
+    each basis vector w of W, and y P = 0 for each vector y of a basis of
+    the annihilator of W, which says that every column of P lies in W.
     """
     n = action.carrier_dim
-    nn = n * n
-    # P commutes with every operator
-    rows = [[eq.get(k, Q0) for k in range(nn)] for eq in _commutant_equations(action)]
+    rows = _commutant_equations(action)
     rhs = [Q0] * len(rows)
-    # P fixes the subspace pointwise: (P w)_i = w_i
     for w in sub.vectors():
         for i in range(n):
-            rows.append([Q0] * (i * n) + list(w) + [Q0] * (nn - i * n - n))
+            rows.append({i * n + k: x for k, x in enumerate(w) if x})
             rhs.append(w[i])
-    # columns of P lie in the subspace: a column v does iff it equals
-    # sum(v[p_r] * b_r) off the pivot coordinates too
-    off_pivot = [i for i in range(n) if i not in sub.pivots]
-    for j in range(n):
-        for i in off_pivot:
-            row = [Q0] * nn
-            row[i * n + j] = Q1
-            for b, p in zip(sub.vectors(), sub.pivots):
-                row[p * n + j] -= b[i]
-            rows.append(row)
+    for y in nullspace_matrix(sub.basis).data:
+        for j in range(n):
+            rows.append({i * n + j: x for i, x in enumerate(y) if x})
             rhs.append(Q0)
-    sol = solve(Matrix(rows), rhs)
+    sol = solve(rows, rhs, n * n)
     if sol is None:
         raise ContractError("no equivariant projection: module is not semisimple")
     proj = matrix_from_flat(sol, n, n)
@@ -523,36 +517,26 @@ def split_over_abelian_ideal(algebra: LieAlgebra, x: Subspace) -> Optional[Subsp
     # ad of each w_i on X, in X coordinates
     ad_on_x = [[x.coords_of(bracket(algebra, w[i], xbasis[t])) for t in range(d)]
                for i in range(m)]
+    # the unknown gamma(w_j)_s is column j * d + s
     rows = []
     rhs = []
     for i in range(m):
         for j in range(i + 1, m):
-            br = bracket(algebra, w[i], w[j])
-            dij, cij = x_and_free_parts(br)
+            dij, cij = x_and_free_parts(bracket(algebra, w[i], w[j]))
             for t in range(d):
-                row = [Q0] * (m * d)
-                # + ad(w_i) gamma(w_j)
+                row = Counter()
                 for s in range(d):
-                    coeff = ad_on_x[i][s][t]
-                    if coeff != 0:
-                        row[j * d + s] += coeff
-                # - ad(w_j) gamma(w_i)
-                for s in range(d):
-                    coeff = ad_on_x[j][s][t]
-                    if coeff != 0:
-                        row[i * d + s] -= coeff
-                # - gamma(c_ij)
+                    # + ad(w_i) gamma(w_j) - ad(w_j) gamma(w_i)
+                    row[j * d + s] += ad_on_x[i][s][t]
+                    row[i * d + s] -= ad_on_x[j][s][t]
                 for k in range(m):
-                    if cij[k] != 0:
-                        row[k * d + t] -= cij[k]
+                    # - gamma(c_ij)
+                    row[k * d + t] -= cij[k]
                 rows.append(row)
                 rhs.append(-dij[t])
-    if rows:
-        sol = solve(Matrix(rows), rhs)
-        if sol is None:
-            return None
-    else:
-        sol = tuple([Q0] * (m * d))
+    sol = solve(rows, rhs, m * d)
+    if sol is None:
+        return None
     vecs = []
     for i in range(m):
         vec = list(w[i])

@@ -55,12 +55,15 @@ from lierad.liealg import (
     is_subalgebra,
     operator_semidirect,
     restrict_to_subalgebra,
+    semidirect_product,
     subalgebra_closure,
     validate,
 )
 from lierad.linalg import (
     Matrix,
     Subspace,
+    inverse,
+    nullspace_matrix,
     nullspace_sparse,
     qq,
     rank,
@@ -82,6 +85,8 @@ from lierad.radicals import (
     solvable_radical,
 )
 from lierad.reports import analyze
+
+from test_modules import sym_power_of_natural_sl2 as sym_power
 
 
 def span(n, *vectors):
@@ -267,6 +272,125 @@ def test_frattini_free_decomposition_abelian():
     assert d.C.is_zero() and d.S.is_zero()
     assert d.J == Subspace.full(2)
     assert len(d.J_summands) == 2
+
+
+def block_sum(blocks) -> Matrix:
+    """The block-diagonal matrix of square blocks, each a list of rows."""
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(r) + [0] * (n - at - len(b)) for r in b]
+        at += len(b)
+    return Matrix(rows, cols=n)
+
+
+def irreducible_types(kind: str, rng: random.Random) -> tuple:
+    """U and two irreducible U-modules, each a list of blocks, one per basis
+    element of U (the operator by which it acts)."""
+    # Sym^a(Q^2) for a = 0, 1, 2; a module with Sym^3 in it waits on
+    # factorization (ROADMAP item 4): on Sym^3 + Q the probes' minimal
+    # polynomials keep polys._kronecker_factor busy for about 2 s
+    if kind == "sl2":
+        return corpus("sl2"), [[op.data for op in sym_power(a).operators]
+                               for a in rng.sample(range(3), 2)]
+    if kind == "sl2+Q":
+        # the line Q acts on each Sym^a by a scalar c, often 0
+        types = []
+        for a in rng.sample(range(3), 2):
+            c = rng.choice((0, 0, 1, -2))
+            ops = [op.data for op in sym_power(a).operators]
+            types.append(ops + [[[c if i == j else 0 for j in range(a + 1)]
+                                 for i in range(a + 1)]])
+        return direct_product([corpus("sl2"), abelian(1)]), types
+    # abelian(k): a line with weight w, or the plane on which each basis
+    # element acts as w_i times a rotation, irreducible when w != 0
+    k = rng.randint(2, 3)
+    types = []
+    for size in rng.sample((1, 2, 2), 2):
+        w = [rng.randint(-2, 2) for _ in range(k)]
+        if size == 2 and not any(w):
+            w[0] = 1
+        types.append([[[x]] if size == 1 else [[0, -x], [x, 0]] for x in w])
+    return abelian(k), types
+
+
+def frattini_free_by_construction(kind: str, seed: int) -> tuple:
+    """(L, N, count, repeated, dim Z_0): L = U |x V as in the test below,
+    with V in a scrambled basis, N = V + Z_0 in L's coordinates, count the
+    number of irreducible summands of N and repeated whether a summand of V
+    was put in more than once."""
+    rng = random.Random(seed)
+    u, types = irreducible_types(kind, rng)
+    # each type 1 to 3 times, while dim V stays at most 8
+    chosen = []
+    for t in types:
+        for _ in range(rng.randint(1, 3)):
+            if sum(len(c[0]) for c in chosen) + len(t[0]) <= 8:
+                chosen.append(t)
+    rho = [block_sum([t[i] for t in chosen]) for i in range(u.dim)]
+    n_v = rho[0].rows
+    # a unimodular change of basis: 2 n_v random elementary row operations
+    t = [[int(i == j) for j in range(n_v)] for i in range(n_v)]
+    for _ in range(2 * n_v):
+        i, j = rng.sample(range(n_v), 2) if n_v > 1 else (0, 0)
+        c = rng.choice((-2, -1, 1, 2)) * (i != j)
+        t[j] = [a + c * b for a, b in zip(t[j], t[i])]
+    t = Matrix(t)
+    t_inv = inverse(t)
+    alg = semidirect_product(u, abelian(n_v, prefix="v"),
+                             [t.mul(op).mul(t_inv) for op in rho])
+    # Z_0: the central elements of U that act on V by 0
+    acting_by_zero = Subspace.span(u.dim, nullspace_matrix(
+        Matrix([op.flatten() for op in rho]).transpose()).data)
+    z0 = span_intersect(center(u), acting_by_zero)
+    n = alg.dim
+    nil = Subspace.span(n, [list(z) + [0] * n_v for z in z0.vectors()]
+                        + [alg.basis_vector(j) for j in range(u.dim, n)])
+    repeated = len({id(c) for c in chosen}) < len(chosen)
+    return alg, nil, len(chosen) + z0.dim, repeated, z0.dim
+
+
+def test_frattini_free_algebras_built_by_construction():
+    """L = U |x V with U reductive and V a completely reducible U-module is
+    Frattini-free, with J = N = V + Z_0, where Z_0 is the part of the center
+    Z(U) that acts on V by 0; and J splits into as many irreducibles as
+    were put in, plus dim Z_0 lines.
+
+    Proof.  Let rho be the action and Z = Z(U).  V + Z_0 is an abelian
+    ideal, since Z_0 is central in U and acts by 0, so it lies in N.  The
+    image of N in L/V = U is a nilpotent ideal of a reductive algebra, so it
+    lies in Z.  For z + v in N with z in Z, ad(z + v) acts on V by rho(z),
+    which is nilpotent; it is also semisimple, since a central element acts
+    semisimply on a completely reducible module (Jacobson, *Lie Algebras*,
+    1962, ch. II).  So rho(z) = 0, z lies in Z_0 and N = V + Z_0, which is
+    abelian.  [U, U] + Z', with Z' a complement of Z_0 in Z, is a subalgebra
+    complementing N, and L acts on N through L/N: on V by rho, which is
+    completely reducible, and on Z_0 by 0.  An abelian nilradical with a
+    subalgebra complement that acts completely reducibly on it is what
+    ``is_frattini_free`` tests, and it characterizes Frattini-free Lie
+    algebras in characteristic 0 (Stitzinger, J. London Math. Soc. (2) 2,
+    1970; Towers, Proc. London Math. Soc. (3) 27, 1973).  J is N, and its
+    summands are irreducible L/N-modules; the U-submodules of V are its
+    [U, U] + Z' submodules, as Z_0 acts by 0.  Any two decompositions of a
+    completely reducible module into irreducibles have the same number of
+    terms (Krull-Schmidt): the summands put in, plus dim Z_0 lines.  The
+    modules put in are irreducible over Q: Sym^a(Q^2) under sl2, with Q
+    acting by a scalar, a line, and a plane on which some basis element acts
+    as a nonzero multiple of a rotation, which has no rational eigenvector.
+    """
+    seen = set()
+    for kind in ("sl2", "sl2+Q", "abelian"):
+        for seed in range(4):
+            alg, nil, count, repeated, z0_dim = frattini_free_by_construction(kind, seed)
+            result = is_frattini_free(alg)
+            assert result, (kind, seed, result.failed_condition)
+            d = result.decomposition
+            assert d.J == nil, (kind, seed)
+            assert len(d.J_summands) == count, (kind, seed)
+            assert frattini_ideal(alg).value.is_zero(), (kind, seed)
+            seen.add((kind, repeated, z0_dim > 0))
+    assert {kind for kind, repeated, _ in seen if repeated} == {"sl2", "sl2+Q", "abelian"}
+    assert any(z0 for _, _, z0 in seen)
 
 
 def test_decomposition_rejects_non_free_input():

@@ -203,7 +203,7 @@ def test_solve_matches_sympy():
             b = list(a.apply(x))
         else:
             b = [random_entry(rng) for _ in range(a.rows)]
-        ours = solve(a, b)
+        ours = solve(map(dict, a.support), b, a.cols)
         try:
             sol, params = to_sympy(rows).gauss_jordan_solve(to_sympy([[x] for x in b]))
         except ValueError:
@@ -728,12 +728,13 @@ def operator_tensor_reference(mats, k: int) -> list:
     ordered pair (i, j), diagonal included, solved in the basis ``mats`` of
     k x k matrices."""
     flats = [a.flatten() for a in mats]
-    coord_system = Matrix([[f[t] for f in flats] for t in range(k * k)])
+    coord_rows = [{i: f[t] for i, f in enumerate(flats) if f[t]}
+                  for t in range(k * k)]
     c = []
     for a in mats:
         row = []
         for b in mats:
-            coords = solve(coord_system, a.mul(b).sub(b.mul(a)).flatten())
+            coords = solve(coord_rows, a.mul(b).sub(b.mul(a)).flatten(), len(mats))
             if coords is None:
                 raise ContractError("commutator escaped the operator span")
             row.append(coords)

@@ -161,14 +161,15 @@ def test_coords_of_matches_solving_the_transposed_system():
             inside = [a + c * b for a, b in zip(inside, row)]
         outside = [qq(rng.randint(-3, 3)) for _ in range(ambient)]
         for v in (inside, outside):
-            assert u.coords_of(v) == solve(u.basis.transpose(), v)
+            assert u.coords_of(v) == solve(map(dict, u.basis.transpose().support),
+                                           v, u.dim)
         assert u.reduce(inside) == (qq(0),) * ambient
 
 
 def test_solve_particular_and_inconsistent():
-    a = Matrix([[1, 1], [0, 0]])
-    assert solve(a, (2, 0)) == (qq(2), qq(0))
-    assert solve(a, (0, 1)) is None
+    a = [{0: 1, 1: 1}, {}]
+    assert solve(a, (2, 0), 2) == (qq(2), qq(0))
+    assert solve(a, (0, 1), 2) is None
 
 
 def test_sparse_nullspace_matches_dense():

@@ -615,8 +615,8 @@ def test_split_certificate_fires_on_a_perturbed_solution(monkeypatch):
     x = span(5, (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
     real_solve = modules_module.solve
 
-    def perturbed(a, b):
-        sol = real_solve(a, b)
+    def perturbed(rows, rhs, ncols):
+        sol = real_solve(rows, rhs, ncols)
         return (sol[0] + 1,) + sol[1:]
 
     monkeypatch.setattr(modules_module, "solve", perturbed)

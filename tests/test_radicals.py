@@ -249,7 +249,8 @@ def test_decompose_semisimple_transports_under_basis_change():
     first = span(6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
     second = span(6, (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
     # new coordinates x of an old vector u solve t x = u
-    expected = sorted((Subspace.span(6, [solve(t, u) for u in block.vectors()])
+    expected = sorted((Subspace.span(6, [solve(map(dict, t.support), u, 6)
+                                         for u in block.vectors()])
                        for block in (first, second)), key=lambda s: s.sort_key())
     assert decompose_semisimple(scrambled) == tuple(expected)
 
@@ -316,6 +317,17 @@ def test_superposition_closure_of_derived_map():
     zero_alg = abelian(0)
     fix, index = superposition_closure(DERIVED_MAP, zero_alg)
     assert fix.is_zero() and index == 0
+
+
+def test_levi_radical_is_the_superposition_fixpoint_of_the_derived_map():
+    # levi_radical returns the stable derived term without forming the fixpoint
+    algebras = suite_corpus() + [("ut(%d)" % n, corpus("ut", n)) for n in range(3, 7)]
+    algebras += random_semidirect_products(25, 20260810)
+    algebras += random_semidirect_products(40, 7)
+    assert len(algebras) == 85
+    for name, alg in algebras:
+        fix, _ = superposition_closure(DERIVED_MAP, alg)
+        assert levi_radical(alg) == fix == stable_derived_term(alg), name
 
 
 def test_superposition_closure_rejects_non_ideal_evaluators():
