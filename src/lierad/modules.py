@@ -327,7 +327,6 @@ def find_proper_submodule(action: Action, *,
     return min(candidates, key=lambda s: s.sort_key())
 
 
-@lru_cache(maxsize=None)
 def centroid(algebra: LieAlgebra) -> Subspace:
     """{T : T[x,y] = [Tx,y] = [x,Ty]}, as a subspace of operator space.
 

@@ -106,10 +106,11 @@ def _rational_roots(ints: list[int]) -> list:
 
 
 def _kronecker_factor(ints: list[int]) -> Optional[list]:
-    """A nontrivial monic rational factor of an integer poly, or None.
+    """A nontrivial monic rational factor of an integer poly with no
+    rational root, or None.
 
-    Interpolates candidate degree-d divisors (d <= deg/2) through divisor
-    tuples of the values at 0, 1, -1, 2, -2, ...
+    Interpolates candidate degree-d divisors (2 <= d <= deg/2) through
+    divisor tuples of the values at 0, 1, -1, 2, -2, ..., none of them 0.
     """
     deg = poly_degree(ints)
     points = []
@@ -119,8 +120,6 @@ def _kronecker_factor(ints: list[int]) -> Optional[list]:
             val = 0
             for c in reversed(ints):
                 val = val * cand + c
-            if val == 0:
-                return [qq(-cand), Q1]
             points.append((cand, val))
             if len(points) >= deg // 2 + 1:
                 break
@@ -161,7 +160,9 @@ def factor_rational_poly(p) -> tuple[Scalar, list[list]]:
     """Factor a nonzero rational polynomial into monic irreducibles over Q.
 
     Returns (leading coefficient, factor list); the product of the factors
-    times the leading coefficient reproduces the input.
+    times the leading coefficient reproduces the input.  The rational roots
+    are found once and divided out with their multiplicities; the Kronecker
+    search runs on what is left.
     """
     p = poly_trim([qq(x) for x in p])
     if not p:
@@ -169,16 +170,15 @@ def factor_rational_poly(p) -> tuple[Scalar, list[list]]:
     lead = p[-1]
     work = poly_monic(p)
     factors: list[list] = []
-    while poly_degree(work) >= 1:
-        ints = primitive_part(work)
-        roots = _rational_roots(ints)
-        if roots:
-            root = roots[0]
+    for root in _rational_roots(primitive_part(work)):
+        while True:
+            quo, rem = poly_divmod(work, [-root, Q1])
+            if rem:
+                break
             factors.append([-root, Q1])
-            work, rem = poly_divmod(work, [-root, Q1])
-            assert not rem
-            continue
-        found = _kronecker_factor(ints)
+            work = quo
+    while poly_degree(work) >= 1:
+        found = _kronecker_factor(primitive_part(work))
         if found is None:
             factors.append(work)
             break

@@ -202,13 +202,11 @@ def decompose_semisimple(algebra: LieAlgebra) -> tuple:
     return parts
 
 
-@lru_cache(maxsize=None)
 def jacobson_ideal(algebra: LieAlgebra) -> Subspace:
     """[L, rad(L)], the intersection of the maximal finite-codim ideals."""
     return bracket_spaces(algebra, algebra.full_space(), solvable_radical(algebra))
 
 
-@lru_cache(maxsize=None)
 def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
     """S cap C_L(R) for a Levi subalgebra S and the radical R.
 
@@ -238,7 +236,6 @@ def largest_semisimple_ideal(algebra: LieAlgebra) -> Subspace:
     return total
 
 
-@lru_cache(maxsize=None)
 def levi_radical(algebra: LieAlgebra) -> Subspace:
     """Smallest characteristic ideal containing all Levi subalgebras.
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from lierad import polys
 from lierad.linalg import qq
 from lierad.polys import factor_rational_poly, poly_mul, poly_trim
 
@@ -86,3 +87,41 @@ def test_factorization_reconstructs_random_products():
         assert poly_trim(rebuilt) == poly_trim(product)
         for f in factors:
             assert f[-1] == 1  # monic
+
+
+def test_repeated_rational_roots_are_divided_out_with_multiplicity():
+    # (t - 1)^3 (t + 2)^2 (t^2 + 1)
+    p = coeffs(1)
+    for f in [coeffs(-1, 1)] * 3 + [coeffs(2, 1)] * 2 + [coeffs(1, 0, 1)]:
+        p = poly_mul(p, f)
+    lead, factors = factor_rational_poly(p)
+    assert lead == 1
+    assert sorted(factors) == sorted(
+        [coeffs(-1, 1)] * 3 + [coeffs(2, 1)] * 2 + [coeffs(1, 0, 1)])
+    # t^2 (2t - 3)^2 = 4t^4 - 12t^3 + 9t^2 = 4 t^2 (t - 3/2)^2
+    lead, factors = factor_rational_poly(coeffs(0, 0, 9, -12, 4))
+    assert lead == 4
+    assert sorted(factors) == sorted(
+        [coeffs(0, 1)] * 2 + [coeffs("-3/2", 1)] * 2)
+
+
+def test_rational_roots_are_enumerated_once_per_polynomial(monkeypatch):
+    # t (t + 1)^2 (t^2 + 2)(t^2 + t + 1): three roots with multiplicity,
+    # then a Kronecker split of the quartic that is left
+    calls = []
+    real = polys._rational_roots
+
+    def counted(ints):
+        calls.append(ints)
+        return real(ints)
+
+    monkeypatch.setattr(polys, "_rational_roots", counted)
+    p = coeffs(1)
+    for f in [coeffs(0, 1), coeffs(1, 1), coeffs(1, 1), coeffs(2, 0, 1),
+              coeffs(1, 1, 1)]:
+        p = poly_mul(p, f)
+    lead, factors = factor_rational_poly(p)
+    assert lead == 1
+    assert sorted(factors) == sorted([coeffs(0, 1), coeffs(1, 1), coeffs(1, 1),
+                                      coeffs(2, 0, 1), coeffs(1, 1, 1)])
+    assert len(calls) == 1
