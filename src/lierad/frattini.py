@@ -240,19 +240,43 @@ def frattini_ideal(algebra: LieAlgebra) -> IdealEstimate:
     """Frattini ideal, exact when a structural rule fires, else an interval.
 
     The rule (``_structural_estimate``) is applied to L and, when it leaves
-    an interval, to each leaf of ``direct_summands(L)``, whose bounds add up:
-    φ(A + B) = φ(A) + φ(B) for an ideal direct sum (Towers, Proc. London
-    Math. Soc. (3) 27, 1973)."""
+    the interval [[L,L] ∩ Z(L), [L, rad L]], to each leaf P of
+    ``direct_summands(L)``, whose bounds add up: φ(A + B) = φ(A) + φ(B) for
+    an ideal direct sum (Towers, Proc. London Math. Soc. (3) 27, 1973).
+    A leaf is decided from L's own data when that is enough:
+    (a) if N(L) contains P, P is nilpotent and φ(P) = [P, P];
+    (b) else, if N(L) ∩ P is not abelian, P's interval is L's cut down to P;
+    (c) else P is restricted and the rule is applied to it.
+    Proof.  Let R be the sum of the other leaves, so L = P + R with
+    [P, R] = 0.  Then N(L) = N(P) + N(R), rad L = rad P + rad R,
+    Z(L) = Z(P) + Z(R) and [L, L] = [P, P] + [R, R], so [L, rad L] =
+    [P, rad P] + [R, rad R].  A sum of a subspace of P and one of R meets P
+    in the first, and two such sums meet in such a sum, so N(L) ∩ P = N(P),
+    [L, rad L] ∩ P = [P, rad P] and [L,L] ∩ Z(L) ∩ P = [P,P] ∩ Z(P).  In
+    (a), P = N(P).  In (b), P is not nilpotent, since a nilpotent ideal
+    lies in N(L), and N(P) is not abelian, so P is not Frattini-free
+    (``is_frattini_free`` fails its first condition): the rule gives P the
+    interval [[P,P] ∩ Z(P), [P, rad P]], which is L's cut down to P."""
     estimate = _structural_estimate(algebra)
     leaves = () if estimate.exact else direct_summands(algebra)
     if len(leaves) < 2:
         return estimate
+    nil = nilradical(algebra)
     lower, upper = [], []
     for leaf in leaves:
-        leaf_alg, leaf_basis = restrict_to_subalgebra(algebra, leaf)
-        part = _structural_estimate(leaf_alg)
-        lower.append(embed_subspace(leaf_basis, part.lower))
-        upper.append(embed_subspace(leaf_basis, part.upper))
+        leaf_nil = span_intersect(nil, leaf)
+        if leaf_nil == leaf:
+            part = IdealEstimate.exactly(bracket_spaces(algebra, leaf, leaf))
+        elif not bracket_spaces(algebra, leaf_nil, leaf_nil).is_zero():
+            part = IdealEstimate(span_intersect(estimate.lower, leaf),
+                                 span_intersect(estimate.upper, leaf))
+        else:
+            leaf_alg, leaf_basis = restrict_to_subalgebra(algebra, leaf)
+            own = _structural_estimate(leaf_alg)
+            part = IdealEstimate(embed_subspace(leaf_basis, own.lower),
+                                 embed_subspace(leaf_basis, own.upper))
+        lower.append(part.lower)
+        upper.append(part.upper)
     return IdealEstimate(span_sum(*lower), span_sum(*upper))
 
 

@@ -24,7 +24,7 @@ ideals, kept when they are and when their dimensions add up.  The split
 search forms the probes one at a time and stops at the first that splits.
 One centroid is solved per algebra: each part of a split reads its own off
 its parent's (``part_centroids``), so a direct-sum tree of any depth costs
-one commutant solve.
+one commutant solve, and no part is restricted to an algebra of its own.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .liealg import (
     embed_subspace,
     is_ideal,
     is_subalgebra,
-    restrict_to_subalgebra,
 )
 from .linalg import (
     Matrix,
@@ -336,24 +335,26 @@ def centroid(algebra: LieAlgebra) -> Subspace:
     return commutant(Action(algebra.dim, ad_of_basis(algebra)))
 
 
-def part_centroids(algebra: LieAlgebra, cent: Subspace, parts: Sequence) -> list:
-    """Γ(P) for each part P of an ideal direct sum L = P_1 + ... + P_k, read
-    off cent = Γ(L) in P's canonical coordinates, as ``centroid`` of
-    ``restrict_to_subalgebra(L, P)`` returns it.
+def part_centroids(whole: Subspace, cent: Subspace, parts: Sequence) -> list:
+    """Γ(P) for each part P of an ideal direct sum W = P_1 + ... + P_k, read
+    off cent = Γ(W).  W is an ideal direct summand of L, or L itself, and
+    each centroid is in the canonical coordinates of its own space, W's or
+    P's, as ``centroid`` of ``restrict_to_subalgebra(L, W)`` returns it.
 
-    Γ(P) = {π_P T|_P : T ∈ Γ(L)}, π_P the projection along the other parts.
+    Γ(P) = {π_P T|_P : T ∈ Γ(W)}, π_P the projection along the other parts.
     Proof.  Let R be the sum of the other parts, so [P, R] = 0.  (⊇) For
     x, y ∈ P, π_P T[x,y] = π_P [x, Ty] = [x, π_P Ty], because [x, Ty] =
     [x, π_P Ty] + [x, π_R Ty] and [P, R] = 0; so π_P T|_P is in Γ(P).
-    (⊆) For S ∈ Γ(P), S ⊕ 0 lies in Γ(L) and compresses to S.  The parts'
-    bases together are a basis of L, so in that basis T is a block matrix
-    and π_P T|_P is its P block.  The parts must be independent and span L:
-    ``inverse`` raises ValueError otherwise.  Leaves of a nested split are
-    ideals of L whose sum is direct, so this serves them at any depth.
+    (⊆) For S ∈ Γ(P), S ⊕ 0 lies in Γ(W) and compresses to S.  The parts'
+    bases together are a basis of W, so in that basis T is a block matrix
+    and π_P T|_P is its P block.  The parts must be independent and span W:
+    ``inverse`` raises ValueError otherwise.
     """
-    n = algebra.dim
-    # columns: the parts' canonical basis vectors, part after part
-    change = Matrix([v for part in parts for v in part.vectors()], cols=n).transpose()
+    n = whole.dim
+    # columns: the parts' canonical basis vectors, part after part, in W's
+    # coordinates, which are their entries at W's pivots
+    change = Matrix([[v[p] for p in whole.pivots]
+                     for part in parts for v in part.vectors()], cols=n).transpose()
     back = inverse(change)
     blocks = [back.mul(matrix_from_flat(t, n, n)).mul(change)
               for t in cent.vectors()]
@@ -366,12 +367,16 @@ def part_centroids(algebra: LieAlgebra, cent: Subspace, parts: Sequence) -> list
     return out
 
 
-def _find_ideal_split(algebra: LieAlgebra, cent: Subspace) -> Optional[list]:
-    """Primary components of the first centroid probe that splits L into
+def _find_ideal_split(algebra: LieAlgebra, whole: Subspace,
+                      cent: Subspace) -> Optional[list]:
+    """Primary components of the first centroid probe that splits W into
     ideals: the kernels of f^m(probe) over its factors f of multiplicity m.
-    cent is Γ(L); the probes are formed one at a time."""
-    n = algebra.dim
-    mats = [matrix_from_flat(v, n, n) for v in cent.vectors()]
+    W is an ideal direct summand of L, or L itself, and cent is Γ(W) in
+    W's canonical coordinates; the kernels are returned as subspaces of L.
+    An ideal of W is an ideal of L, since W's complement R has [W, R] = 0,
+    so each part is tested in L.  The probes are formed one at a time."""
+    m = whole.dim
+    mats = [matrix_from_flat(v, m, m) for v in cent.vectors()]
     for probe, factors in _probe_factors(mats):
         if len(factors) < 2:
             continue
@@ -379,8 +384,8 @@ def _find_ideal_split(algebra: LieAlgebra, cent: Subspace) -> Optional[list]:
         for f, mult in factors.items():
             power = reduce(poly_mul, [f] * mult)
             kernel = nullspace_matrix(_poly_of_matrix(power, probe))
-            parts.append(Subspace.span(n, kernel.data))
-        if sum(p.dim for p in parts) == n and all(is_ideal(algebra, p) for p in parts):
+            parts.append(Subspace.span(algebra.dim, kernel.mul(whole.basis).data))
+        if sum(p.dim for p in parts) == m and all(is_ideal(algebra, p) for p in parts):
             return parts
     return None
 
@@ -392,33 +397,38 @@ def direct_summands(algebra: LieAlgebra) -> tuple:
     Returns (L,) when no split is found.  ``centroid(L)`` is the one
     centroid solved: ``_summands`` hands each part its own.
     """
-    return _summands(algebra, centroid(algebra))
-
-
-def _summands(algebra: LieAlgebra, cent: Subspace) -> tuple:
-    """``direct_summands`` of L, given cent = Γ(L).
-
-    Each split is certified ideal (``_find_ideal_split``), independent and
-    spanning before its parts are compressed to their centroids
-    (``part_centroids``) and split in turn.  An ideal of an ideal direct
-    summand is an ideal of L, so the leaves are a verified decomposition.
-    """
     if algebra.dim == 0:
         return ()
-    split = _find_ideal_split(algebra, cent)
+    leaves = _summands(algebra, algebra.full_space(), centroid(algebra))
+    return tuple(sorted(leaves, key=lambda s: s.sort_key()))
+
+
+def _summands(algebra: LieAlgebra, whole: Subspace, cent: Subspace) -> list:
+    """The leaves of W, an ideal direct summand of L or L itself, given
+    cent = Γ(W) in W's canonical coordinates.
+
+    Each split is certified ideal (``_find_ideal_split``), independent and
+    spanning W before its parts are compressed to their centroids
+    (``part_centroids``) and split in turn.  An ideal of an ideal direct
+    summand is an ideal of L, so the leaves are a verified decomposition.
+    No part is restricted to an algebra of its own: the split search reads
+    a part's centroid in its coordinates and tests ideals in L.  So a part
+    whose centroid has dimension 1 costs no restriction either: that
+    centroid is Q·1, as the identity always lies in it, so its one element
+    is scalar, ``_find_ideal_split`` forms no probe, and the part is a leaf.
+    """
+    split = _find_ideal_split(algebra, whole, cent)
     if split is None:
-        return (algebra.full_space(),)
+        return [whole]
     total = span_sum(*split)
     if sum(p.dim for p in split) != total.dim:
         raise AssertionError("direct summands are not independent")
-    if not total.is_full():
+    if total != whole:
         raise AssertionError("direct summands do not span")
-    parts = []
-    for part, part_cent in zip(split, part_centroids(algebra, cent, split)):
-        part_alg, part_basis = restrict_to_subalgebra(algebra, part)
-        parts += [embed_subspace(part_basis, p)
-                  for p in _summands(part_alg, part_cent)]
-    return tuple(sorted(parts, key=lambda s: s.sort_key()))
+    leaves = []
+    for part, part_cent in zip(split, part_centroids(whole, cent, split)):
+        leaves += _summands(algebra, part, part_cent)
+    return leaves
 
 
 def _equivariant_complement(action: Action, sub: Subspace) -> Subspace:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import lierad.frattini as frattini_module
+import lierad.liealg as liealg_module
 import lierad.modules as modules_module
 import lierad.radicals as radicals_module
 from lierad.acceptance import random_semidirect_products
@@ -532,11 +533,11 @@ def test_direct_summands_certificate_fires(monkeypatch):
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     for parts, message in (([span(3, e1, e2), span(3, e2, e3)], "not independent"),
                            ([span(3, e1), span(3, e2)], "do not span")):
-        def split(a, cent, parts=parts):
+        def split(a, whole, cent, parts=parts):
             # split the algebra itself; leave its parts whole.  Compressing
             # the centroid onto parts that are not direct would fail in
             # ``inverse``, so the certificate must come first
-            return parts if a == alg else None
+            return parts if whole.is_full() else None
         monkeypatch.setattr(modules_module, "_find_ideal_split", split)
         direct_summands.cache_clear()
         with pytest.raises(AssertionError, match=message):
@@ -571,9 +572,9 @@ def test_frattini_ideal_does_not_split_the_leaves_again(monkeypatch, clear_memo_
     searched = []
     find = modules_module._find_ideal_split
 
-    def recording(alg, cent):
-        searched.append(alg.dim)
-        return find(alg, cent)
+    def recording(alg, whole, cent):
+        searched.append(whole.dim)
+        return find(alg, whole, cent)
 
     monkeypatch.setattr(modules_module, "_find_ideal_split", recording)
     for expr in ("ut(3)", "ut(4)", "ut(5)", "ut(6)", "direct(ut(3),heis3)",
@@ -584,6 +585,53 @@ def test_frattini_ideal_does_not_split_the_leaves_again(monkeypatch, clear_memo_
         searched.clear()
         assert not frattini_ideal(alg).exact, expr
         assert searched == [], expr
+
+
+def jordan_block_sum() -> LieAlgebra:
+    """ut(3) + (t acting on Q^2 by a Jordan block with eigenvalue 2): its
+    leaves have dimensions 1, 3 and 5, and the 3-dimensional one has an
+    abelian nilradical on which its complement acts non-semisimply."""
+    return direct_product([corpus("ut", 3),
+                           operator_semidirect([Matrix([[2, 1], [0, 2]])])])
+
+
+def test_frattini_ideal_restricts_only_what_l_cannot_decide(monkeypatch,
+                                                          clear_memo_caches):
+    # a leaf inside N(L), or one whose part of N(L) is not abelian, is
+    # decided from L's memoized nilradical, [L,L] ∩ Z(L) and [L, rad L], and
+    # the split tree reads each part in L's coordinates: so no summand is
+    # rebuilt as an algebra, and no radical of one is computed.  The three
+    # functions are wrapped wherever liealg, modules, radicals and frattini
+    # bind them.
+    restricted, radicals_of = [], []
+
+    def recording(log, fn):
+        def wrapped(alg, *args):
+            log.append((alg, *args))
+            return fn(alg, *args)
+        return wrapped
+
+    for mod in (liealg_module, modules_module, radicals_module, frattini_module):
+        if hasattr(mod, "restrict_to_subalgebra"):
+            monkeypatch.setattr(mod, "restrict_to_subalgebra",
+                                recording(restricted, mod.restrict_to_subalgebra))
+        for name in ("nilradical", "solvable_radical"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, recording(radicals_of, getattr(mod, name)))
+    for expr in ("ut(4)", "ut(5)", "ut(6)", "direct(ut(3),heis3)"):
+        alg = corpus_expr(expr)
+        clear_memo_caches()
+        restricted.clear()
+        radicals_of.clear()
+        assert not frattini_ideal(alg).exact, expr
+        assert restricted == [], expr
+        assert radicals_of and all(a is alg for (a,) in radicals_of), expr
+    # the 3-dimensional leaf of the Jordan-block sum needs rule (c)
+    alg = jordan_block_sum()
+    clear_memo_caches()
+    restricted.clear()
+    frattini_ideal(alg)
+    assert [(a, space.dim) for a, space in restricted] == [(alg, 3)]
 
 
 def frattini_by_resplitting(alg) -> IdealEstimate:
@@ -623,9 +671,18 @@ def test_frattini_ideal_equals_the_recursion_that_resplits_each_summand(
     # nilpotent with [L, L] not central
     algebras += [(expr, corpus_expr(expr))
                  for expr in ("direct(ut(3),d1_v2)", "direct(ut(3),sut(4))")]
+    # the 3-dimensional leaf of the Jordan-block sum has an abelian
+    # nilradical but is not Frattini-free, so frattini_ideal restricts it
+    jordan = jordan_block_sum()
+    algebras += [("jordan", jordan), ("jordan#1", scrambled(jordan, 1))]
     for name, alg in algebras:
         clear_memo_caches()
         assert frattini_ideal(alg) == frattini_by_resplitting(alg), name
+    for alg in (jordan, scrambled(jordan, 1)):
+        clear_memo_caches()
+        assert [p.dim for p in direct_summands(alg)] == [1, 3, 5]
+        estimate = frattini_ideal(alg)
+        assert (estimate.lower.dim, estimate.upper.dim) == (0, 5)
 
 
 def test_frattini_free_c_and_s_equal_the_restricted_complement():
@@ -922,10 +979,10 @@ def test_part_centroids_are_the_centroids_of_the_parts(monkeypatch, clear_memo_c
     splits = []
     find = modules_module._find_ideal_split
 
-    def recording(alg, cent):
-        parts = find(alg, cent)
+    def recording(alg, whole, cent):
+        parts = find(alg, whole, cent)
         if parts is not None:
-            splits.append((alg, cent, parts))
+            splits.append((alg, whole, cent, parts))
         return parts
 
     monkeypatch.setattr(modules_module, "_find_ideal_split", recording)
@@ -943,9 +1000,9 @@ def test_part_centroids_are_the_centroids_of_the_parts(monkeypatch, clear_memo_c
             direct_summands(scrambled(corpus_expr(expr), seed))
     assert from_corpus > 5 and len(splits) > from_corpus
     monkeypatch.undo()
-    for alg, cent, parts in splits:
-        assert cent == centroid(alg)
-        for part, part_cent in zip(parts, part_centroids(alg, cent, parts)):
+    for alg, whole, cent, parts in splits:
+        assert cent == centroid(restrict_to_subalgebra(alg, whole)[0])
+        for part, part_cent in zip(parts, part_centroids(whole, cent, parts)):
             part_alg, _ = restrict_to_subalgebra(alg, part)
             assert part_cent == centroid(part_alg)
             assert part_cent == centroid_from_both_conditions(part_alg)
